@@ -1,4 +1,4 @@
-// micro_shard — shard-per-core scale-out throughput, sixth member of the
+// micro_shard — shard scale-out throughput, sixth member of the
 // BENCH_*.json perf-trajectory family (schema guarded by
 // tools/check_bench.py, wired into ctest and CI like BENCH_concurrent.json).
 //
@@ -6,18 +6,18 @@
 // vmsv::Db (kRange page partitioning), twice per shard count:
 //   - readers_only:    a closed-loop multi-client runner (fixed client
 //                      count, so SHARDS are the only axis) drives a warmed
-//                      view pool; fan-out runs each shard's slice on that
-//                      shard's worker, merged bit-identically;
+//                      view pool; each client runs its query's shard
+//                      slices itself, in shard order, merged
+//                      bit-identically;
 //   - readers+writer:  same, plus one writer thread applying update bursts
 //                      and flushes concurrently — updates route to exactly
 //                      one shard, so writer stalls stay per-shard instead
 //                      of table-wide.
 // Per-query scans are pinned serial (the scan pool would otherwise hand
-// every shard all the cores and blur the axis); shard workers inherit
-// VMSV_PIN_CORES through the Db facade. Every shard count answers a fixed
-// probe set and the harness cross-checks the answers against the 1-shard
-// oracle — `identical_results` in the JSON is the bit-identity verdict the
-// schema gate refuses to pass without.
+// every shard all the cores and blur the axis). Every shard count answers a
+// fixed probe set and the harness cross-checks the answers against the
+// 1-shard oracle — `identical_results` in the JSON is the bit-identity
+// verdict the schema gate refuses to pass without.
 //
 // On a single-vCPU container the scaling curve is flat by construction;
 // tools/check_bench.py only enforces the scale-out floor on multi-core
@@ -36,7 +36,6 @@
 
 #include "bench_common.h"
 #include "vmsv.h"
-#include "exec/affinity.h"
 #include "util/histogram.h"
 #include "util/macros.h"
 #include "util/random.h"
@@ -74,8 +73,9 @@ struct ShardPoint {
 
 struct ShardReport {
   uint64_t queries = 0;
-  bool pin_cores = false;
   bool identical_results = true;
+  /// Best multi-shard readers-only qps over the 1-shard point, raw: below
+  /// 1.0 when sharding slows reads down.
   double best_multi_shard_speedup = 1.0;
   std::vector<ShardPoint> points;
 };
@@ -157,7 +157,6 @@ ShardReport RunShardExperiment(const bench::BenchEnv& env,
                                const std::vector<RangeQuery>& probes) {
   ShardReport report;
   report.queries = queries.size();
-  report.pin_cores = DefaultPinCores();
 
   // The 1-shard point doubles as the bit-identity oracle for the probes.
   std::vector<std::pair<uint64_t, Value>> reference;
@@ -226,12 +225,15 @@ ShardReport RunShardExperiment(const bench::BenchEnv& env,
     report.points.push_back(std::move(point));
   }
 
+  const double single_qps = report.points.front().readers_qps;
+  double best_multi_qps = 0;
   for (const ShardPoint& point : report.points) {
-    if (point.shards > 1 && report.points.front().readers_qps > 0) {
-      report.best_multi_shard_speedup =
-          std::max(report.best_multi_shard_speedup,
-                   point.readers_qps / report.points.front().readers_qps);
+    if (point.shards > 1) {
+      best_multi_qps = std::max(best_multi_qps, point.readers_qps);
     }
+  }
+  if (best_multi_qps > 0 && single_qps > 0) {
+    report.best_multi_shard_speedup = best_multi_qps / single_qps;
   }
   return report;
 }
@@ -239,10 +241,10 @@ ShardReport RunShardExperiment(const bench::BenchEnv& env,
 void PrintReport(const bench::BenchEnv& env, const ShardReport& report) {
   std::fprintf(stdout,
                "\n## shard scale-out: closed loop, %llu queries/run, "
-               "%llu clients, sel=%.0f%%, pin_cores=%s\n",
+               "%llu clients, sel=%.0f%%\n",
                static_cast<unsigned long long>(report.queries),
                static_cast<unsigned long long>(kClients),
-               kSelectivity * 100.0, report.pin_cores ? "on" : "off");
+               kSelectivity * 100.0);
   TablePrinter table(bench::WithScanConfigHeaders(
       {"shards", "readers_qps", "readers_wall_ms", "rw_qps", "rw_wall_ms",
        "writer_updates", "writer_flushes"}));
@@ -284,7 +286,6 @@ int WriteJson(const std::string& path, const bench::BenchEnv& env,
     w.BeginObject();
     w.Field("clients", kClients);
     w.Field("partition", "range");
-    w.FieldBool("pin_cores", report.pin_cores);
     w.FieldBool("identical_results", report.identical_results);
     w.Field("best_multi_shard_speedup", report.best_multi_shard_speedup, 4);
     w.Key("shard_counts");
@@ -318,7 +319,7 @@ int Main() {
   // never means N x threads cores.
   ::setenv("VMSV_SERIAL_CUTOFF", "1000000000", /*overwrite=*/0);
   const bench::BenchEnv env = bench::LoadBenchEnv(
-      "micro_shard: shard-per-core scale-out via vmsv::Db", 4096);
+      "micro_shard: shard scale-out via vmsv::Db", 4096);
   const std::string json_path = bench::BenchJsonPath("BENCH_shard.json");
 
   const std::vector<Value> values = MakeValues(env);

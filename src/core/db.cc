@@ -10,8 +10,8 @@ namespace vmsv {
 namespace {
 
 /// The 1-shard Table: a zero-cost veneer over one AdaptiveColumn. Every
-/// call forwards directly — no routing, no fan-out, no worker handoff —
-/// so the facade costs existing single-column users nothing.
+/// call forwards directly — no routing, no fan-out — so the facade costs
+/// existing single-column users nothing.
 class SingleTable : public Table {
  public:
   explicit SingleTable(std::unique_ptr<AdaptiveColumn> column)

@@ -2,8 +2,7 @@
 //
 // A Db is opened (or created) once and hands back a Table: a batch-first,
 // Status-based query surface that hides whether the data lives in one
-// AdaptiveColumn or is partitioned across N per-core shards
-// (core/shard_router.h). Everything outside src/ — benches, tests, the
+// AdaptiveColumn or is partitioned across N shards (core/shard_router.h). Everything outside src/ — benches, tests, the
 // workload runner, embedders — programs against this interface; direct
 // AdaptiveColumn construction (core/adaptive_layer.h) is an internal
 // implementation detail.
@@ -18,9 +17,10 @@
 // AdaptiveColumn over the same rows, for every shard count and partition
 // kind — match_count and sum are associative wrap-around uint64 adds
 // merged in shard order, and per-shard value zones only ever SKIP shards
-// that provably hold no matching value. Updates route to exactly one
-// shard; durable tables persist one subdirectory per shard plus a
-// table-level descriptor.
+// that provably hold no matching value. A sharded query runs its shard
+// sub-scans on the calling thread, in shard order; the Table owns no
+// threads of its own. Updates route to exactly one shard; durable tables
+// persist one subdirectory per shard plus a table-level descriptor.
 
 #ifndef VMSV_CORE_DB_H_
 #define VMSV_CORE_DB_H_
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/adaptive_layer.h"
-#include "exec/affinity.h"
 #include "storage/column.h"
 #include "storage/types.h"
 #include "util/status.h"
@@ -61,9 +60,6 @@ struct TableHealth {
   ColumnHealth total;
   /// Per-shard snapshots, shard order. Size 1 for unsharded tables.
   std::vector<ColumnHealth> shards;
-  /// Worker-thread pin attempts the affinity layer refused (0 unless core
-  /// pinning is enabled; see exec/affinity.h).
-  uint64_t pin_failures = 0;
 };
 
 struct DbOptions {
@@ -78,15 +74,6 @@ struct DbOptions {
   PartitionKind partition = PartitionKind::kRange;
   /// In-memory creation backend (durable tables always use file backing).
   MemoryFileBackend backend = MemoryFileBackend::kMemfd;
-  /// Worker threads per shard (>= 1). The shard-per-core default is 1.
-  unsigned threads_per_shard = 1;
-  /// Core pinning for shard workers: -1 follows VMSV_PIN_CORES (default
-  /// off), 0 forces off, 1 forces on. Best-effort — refusals are counted
-  /// in TableHealth::pin_failures, never errors.
-  int pin_cores = -1;
-  /// The sched_setaffinity seam; null means real syscalls. Not owned; must
-  /// outlive the table (tests inject a RefusingCpuAffinity here).
-  CpuAffinity* affinity = nullptr;
 };
 
 /// The public query surface. Thread-safe exactly like AdaptiveColumn:
@@ -97,9 +84,9 @@ class Table {
  public:
   virtual ~Table() = default;
 
-  /// Answers one range query adaptively. On a sharded table the query fans
-  /// out to the shards whose value zone intersects [q.lo, q.hi] and the
-  /// per-shard answers merge in shard order (bit-identical to unsharded).
+  /// Answers one range query adaptively. On a sharded table the caller
+  /// visits the shards whose value zone intersects [q.lo, q.hi] in shard
+  /// order and merges their answers (bit-identical to unsharded).
   /// Error contract: InvalidArgument when q.lo > q.hi.
   virtual StatusOr<QueryExecution> Execute(const RangeQuery& q) = 0;
 

@@ -235,20 +235,6 @@ StatusOr<PartitionSpec> ReadTableDescriptor(const std::string& dir) {
 // ---------------------------------------------------------------------------
 // ShardedTable construction
 
-void ShardedTable::StartPools(const DbOptions& options) {
-  const bool pin = options.pin_cores == 1 ||
-                   (options.pin_cores < 0 && DefaultPinCores());
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    ShardPoolOptions pool_options;
-    pool_options.threads = options.threads_per_shard > 0
-                               ? options.threads_per_shard
-                               : 1;
-    pool_options.cpu = pin ? static_cast<int>(s) : -1;
-    pool_options.affinity = options.affinity;
-    shards_[s]->pool = std::make_unique<ShardPool>(pool_options);
-  }
-}
-
 void ShardedTable::RecomputeZone(uint32_t s) {
   Shard& shard = *shards_[s];
   const PhysicalColumn& column = shard.column->column();
@@ -332,7 +318,6 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Create(
     table->shards_.push_back(std::move(shard));
     table->RecomputeZone(s);
   }
-  table->StartPools(options);
   return std::unique_ptr<Table>(std::move(table));
 }
 
@@ -362,7 +347,6 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::CreateDurable(
   // directory Open refuses rather than a half-table it half-opens.
   st = WriteTableDescriptor(dir, spec, options.column.storage.io);
   if (!st.ok()) return st;
-  table->StartPools(options);
   return std::unique_ptr<Table>(std::move(table));
 }
 
@@ -384,55 +368,23 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Open(
     table->shards_.push_back(std::move(shard));
     table->RecomputeZone(s);
   }
-  table->StartPools(options);
   return std::unique_ptr<Table>(std::move(table));
 }
 
 // ---------------------------------------------------------------------------
 // Query surface
 
-void ShardedTable::FanOut(const std::vector<uint32_t>& targets,
-                          const std::function<void(size_t)>& fn) const {
-  if (targets.empty()) return;
-  if (targets.size() == 1) {
-    // Single-shard work runs inline: a pruned point lookup pays no handoff.
-    fn(0);
-    return;
-  }
-  WaitGroup wg;
-  wg.Add(targets.size() - 1);
-  for (size_t i = 1; i < targets.size(); ++i) {
-    shards_[targets[i]]->pool->Submit([&fn, &wg, i] {
-      fn(i);
-      wg.Done();
-    });
-  }
-  // The caller participates as shard targets[0]'s worker.
-  fn(0);
-  wg.Wait();
-}
-
 StatusOr<QueryExecution> ShardedTable::Execute(const RangeQuery& q) {
   if (q.lo > q.hi) return InvalidArgument("query lo > hi");
-  const std::vector<uint32_t> targets = RouteShards(q);
+  // Visit the zone-pruned shards in ascending order on this thread: the
+  // shard-order merge keeps the answer bit-identical to the unsharded
+  // oracle, and no matching shard means provably zero matches.
   QueryExecution merged;
-  if (targets.empty()) return merged;  // provably zero matches
-  std::vector<QueryExecution> execs(targets.size());
-  std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets, [&](size_t i) {
-    auto r = shards_[targets[i]]->column->Execute(q);
-    if (r.ok()) {
-      execs[i] = *std::move(r);
-    } else {
-      statuses[i] = r.status();
-    }
-  });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
+  for (const uint32_t s : RouteShards(q)) {
+    auto part = shards_[s]->column->Execute(q);
+    if (!part.ok()) return part.status();
+    MergeExec(&merged, *part);
   }
-  // Merge in shard order (targets ascend): associative adds keep the
-  // answer bit-identical to the unsharded oracle.
-  for (const QueryExecution& exec : execs) MergeExec(&merged, exec);
   return merged;
 }
 
@@ -441,23 +393,12 @@ StatusOr<QueryExecution> ShardedTable::ExecuteFullScan(
   if (q.lo > q.hi) return InvalidArgument("query lo > hi");
   // The baseline deliberately skips zone pruning: it scans every base
   // page, like the unsharded baseline it is compared against.
-  std::vector<uint32_t> targets(shards_.size());
-  for (uint32_t s = 0; s < shards_.size(); ++s) targets[s] = s;
-  std::vector<QueryExecution> execs(targets.size());
-  std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets, [&](size_t i) {
-    auto r = shards_[targets[i]]->column->ExecuteFullScan(q);
-    if (r.ok()) {
-      execs[i] = *std::move(r);
-    } else {
-      statuses[i] = r.status();
-    }
-  });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
   QueryExecution merged;
-  for (const QueryExecution& exec : execs) MergeExec(&merged, exec);
+  for (const auto& shard : shards_) {
+    auto part = shard->column->ExecuteFullScan(q);
+    if (!part.ok()) return part.status();
+    MergeExec(&merged, *part);
+  }
   merged.stats.decision = CandidateDecision::kNone;
   return merged;
 }
@@ -469,53 +410,33 @@ StatusOr<BatchExecution> ShardedTable::ExecuteBatch(
   }
   BatchExecution out;
   out.queries.resize(queries.size());
-  if (queries.empty()) return out;
 
-  // Per-shard sub-batches in batch order, with the member -> global index
-  // mapping for the merge.
-  std::vector<std::vector<RangeQuery>> sub(shards_.size());
-  std::vector<std::vector<size_t>> sub_index(shards_.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    for (uint32_t s = 0; s < shards_.size(); ++s) {
-      if (ZoneIntersects(*shards_[s], queries[i])) {
-        sub[s].push_back(queries[i]);
-        sub_index[s].push_back(i);
+  // Each shard runs the sub-batch of queries its zone intersects, in batch
+  // order; results merge per query in shard order. Batch-level accounting
+  // sums per-shard totals (a query answered on k shards counts once per
+  // shard it ran on).
+  std::vector<RangeQuery> sub;
+  std::vector<size_t> sub_index;
+  for (const auto& shard : shards_) {
+    sub.clear();
+    sub_index.clear();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (ZoneIntersects(*shard, queries[i])) {
+        sub.push_back(queries[i]);
+        sub_index.push_back(i);
       }
     }
-  }
-  std::vector<uint32_t> targets;
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    if (!sub[s].empty()) targets.push_back(s);
-  }
-  if (targets.empty()) return out;  // every query provably matches nothing
-
-  std::vector<BatchExecution> partials(targets.size());
-  std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets, [&](size_t i) {
-    auto r = shards_[targets[i]]->column->ExecuteBatch(sub[targets[i]]);
-    if (r.ok()) {
-      partials[i] = *std::move(r);
-    } else {
-      statuses[i] = r.status();
+    if (sub.empty()) continue;
+    auto part = shard->column->ExecuteBatch(sub);
+    if (!part.ok()) return part.status();
+    for (size_t m = 0; m < sub_index.size(); ++m) {
+      MergeExec(&out.queries[sub_index[m]], part->queries[m]);
     }
-  });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-
-  // Merge per query in shard order; batch-level accounting sums per-shard
-  // totals (a query answered on k shards counts once per shard it ran on).
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const uint32_t s = targets[i];
-    const BatchExecution& part = partials[i];
-    for (size_t m = 0; m < sub_index[s].size(); ++m) {
-      MergeExec(&out.queries[sub_index[s][m]], part.queries[m]);
-    }
-    out.shared_scanned_pages += part.shared_scanned_pages;
-    out.individual_equivalent_pages += part.individual_equivalent_pages;
-    out.overlap_groups += part.overlap_groups;
-    out.view_answered += part.view_answered;
-    out.base_answered += part.base_answered;
+    out.shared_scanned_pages += part->shared_scanned_pages;
+    out.individual_equivalent_pages += part->individual_equivalent_pages;
+    out.overlap_groups += part->overlap_groups;
+    out.view_answered += part->view_answered;
+    out.base_answered += part->base_answered;
   }
   return out;
 }
@@ -575,7 +496,6 @@ TableHealth ShardedTable::Health() const {
     health.total.views_promoted += h.views_promoted;
     health.total.cold_view_reloads += h.cold_view_reloads;
     health.shards.push_back(h);
-    health.pin_failures += shard->pool->pin_failures();
   }
   return health;
 }

@@ -1,13 +1,10 @@
-// ShardedTable — shard-per-core scale-out for a logical column
-// (ROADMAP "Shard-per-core scale-out + serving layer").
+// ShardedTable — scale-out of one logical column across N engine shards.
 //
 // A logical column of P pages is partitioned across N AdaptiveColumn
 // shards, each a complete engine of its own: its own maintenance mutex,
 // view pool, lifecycle manager, journal, and (when durable) persist
 // subdirectory — so adaptation, flushes, and demotion on one shard never
-// serialize the others. Work reaches a shard through its ShardPool
-// (exec/shard_pool.h), whose workers are optionally pinned to the shard's
-// core (VMSV_PIN_CORES=1, best-effort via the CpuAffinity seam).
+// serialize the others.
 //
 // PARTITIONING is by PAGE, not row: shard i owns either a balanced
 // contiguous page block (kRange) or every page p with p % N == i (kHash).
@@ -23,6 +20,11 @@
 // pass at create/open and only ever WIDENED by updates. A query visits
 // just the shards whose zone intersects its predicate; skipped shards
 // provably contribute zero matches, so pruning never affects results.
+// The calling thread runs the visited shards' sub-scans itself, one after
+// another in shard order, merging each answer as it arrives: parallelism
+// within a query comes from each shard's scan ThreadPool, and parallelism
+// across queries from the callers' own threads (readers are lock-free
+// under epochs), so the router owns no threads.
 //
 // DURABLE LAYOUT: dir/TABLE (a small text descriptor: version, shard
 // count, partition kind, row count) plus dir/shard-000/ ... each holding a
@@ -43,7 +45,6 @@
 
 #include "core/adaptive_layer.h"
 #include "core/db.h"
-#include "exec/shard_pool.h"
 #include "storage/types.h"
 #include "util/status.h"
 
@@ -128,12 +129,11 @@ class ShardedTable : public Table {
   std::vector<uint32_t> RouteShards(const RangeQuery& q) const;
 
  private:
-  /// One shard's engine + executor + value zone. Zone bounds are relaxed
+  /// One shard's engine + value zone. Zone bounds are relaxed
   /// atomics: updates widen them concurrently with routing reads, and a
   /// conservatively-stale bound only costs an extra shard visit.
   struct Shard {
     std::unique_ptr<AdaptiveColumn> column;
-    std::unique_ptr<ShardPool> pool;
     std::atomic<Value> zone_lo{~Value{0}};
     std::atomic<Value> zone_hi{0};
     /// True once any value exists (a zoneless empty shard matches nothing).
@@ -142,10 +142,6 @@ class ShardedTable : public Table {
 
   ShardedTable(PartitionSpec spec, bool durable) : spec_(spec), durable_(durable) {}
 
-  /// Builds the per-shard pools (affinity per options) — shared tail of
-  /// every factory.
-  void StartPools(const DbOptions& options);
-
   /// One pass over shard `s`'s pages (zero tail included, matching what
   /// scans see) re-deriving its value zone.
   void RecomputeZone(uint32_t s);
@@ -153,12 +149,6 @@ class ShardedTable : public Table {
   void WidenZone(Shard& shard, Value v);
 
   bool ZoneIntersects(const Shard& shard, const RangeQuery& q) const;
-
-  /// Runs fn(position) on each target shard's pool concurrently and waits
-  /// (fn receives the POSITION within `targets`, not the shard id).
-  /// Position 0 runs inline on the caller.
-  void FanOut(const std::vector<uint32_t>& targets,
-              const std::function<void(size_t)>& fn) const;
 
   PartitionSpec spec_;
   bool durable_ = false;

@@ -9,12 +9,13 @@
 //     others replay their journal — the table-wide answer is unchanged);
 //   * routing determinism and zone-pruning soundness (a skipped shard
 //     provably holds no match);
-//   * core-pinning refusal is counted in TableHealth, never an error;
 //   * TABLE descriptor round-trip, forward compatibility, error contract;
 //   * the batch cover-routing fix: ExecuteBatch consults the same
 //     cost-based multi-view cover path as Execute (regression pins the
 //     page accounting);
-//   * concurrent readers + writer on a sharded table (TSAN coverage).
+//   * concurrent readers on a sharded table, every answer checked against
+//     the 1-shard oracle, then readers racing a writer (TSAN coverage) —
+//     for every shard count and partition kind.
 
 #include <atomic>
 #include <cstdint>
@@ -29,7 +30,6 @@
 #include <gtest/gtest.h>
 
 #include "core/shard_router.h"
-#include "exec/affinity.h"
 #include "scoped_temp_dir.h"
 #include "vmsv.h"
 
@@ -327,28 +327,7 @@ TEST(ShardedTable, ExecuteFullScanVisitsEveryShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Core pinning through the affinity seam
-
-TEST(ShardedTable, PinRefusalIsCountedNotFatal) {
-  RefusingCpuAffinity refusing(EPERM);
-  DbOptions options = ShardedOptions(2, PartitionKind::kRange);
-  options.pin_cores = 1;  // force pinning on regardless of VMSV_PIN_CORES
-  options.affinity = &refusing;
-  auto table_r = Db::Create(4 * kValuesPerPage, IdentityValue, options);
-  ASSERT_TRUE(table_r.ok()) << table_r.status().message();
-  auto table = *std::move(table_r);
-
-  // A full-domain query fans out to shard 1's worker; once the worker has
-  // run anything its (refused) pin attempt has certainly happened.
-  auto exec = table->Execute({0, ~Value{0}});
-  ASSERT_TRUE(exec.ok());
-  EXPECT_EQ(exec->match_count, 4 * kValuesPerPage);
-
-  const TableHealth health = table->Health();
-  EXPECT_GE(health.pin_failures, 1u);
-  EXPECT_EQ(health.shards.size(), 2u);
-  EXPECT_FALSE(health.total.degraded_read_only);
-}
+// Health and metrics
 
 TEST(ShardedTable, HealthAndMetricsAggregateAcrossShards) {
   auto table = *Db::Create(kRows, MixValue,
@@ -361,7 +340,6 @@ TEST(ShardedTable, HealthAndMetricsAggregateAcrossShards) {
     fallbacks += shard.base_fallbacks;
   }
   EXPECT_EQ(health.total.base_fallbacks, fallbacks);
-  EXPECT_EQ(health.pin_failures, 0u);  // pinning defaults off
   const CumulativeStats metrics = table->Metrics();
   EXPECT_GE(metrics.queries, 1u);
   EXPECT_GT(metrics.scanned_pages, 0u);
@@ -597,23 +575,92 @@ TEST(BatchCoverRouting, BatchUsesTheCostBasedCoverPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency (the TSAN job runs every unit test)
+// Concurrency (CI also runs this suite under TSAN)
 
-TEST(ShardedTable, ConcurrentReadersAndWriter) {
-  auto table_r = Db::Create(kRows, MixValue,
-                            ShardedOptions(4, PartitionKind::kRange));
-  ASSERT_TRUE(table_r.ok());
+/// Readers-only phase: three threads each cycle through Execute,
+/// ExecuteBatch and ExecuteFullScan over a fixed query set (staggered, so
+/// all three paths run at once) and every answer must equal the 1-shard
+/// oracle's. Then the writer phase: readers race a writer whose script is
+/// replayed serially into the oracle, and the final cells must converge.
+void RunConcurrentReadersAndWriter(PartitionKind kind, uint32_t shards) {
+  SCOPED_TRACE(std::string(PartitionKindName(kind)) + " x " +
+               std::to_string(shards) + " shards");
+  auto table_r = Db::Create(kRows, MixValue, ShardedOptions(shards, kind));
+  ASSERT_TRUE(table_r.ok()) << table_r.status().message();
   auto table = *std::move(table_r);
+  ASSERT_EQ(table->num_shards(), shards);
+  auto oracle = *Db::Create(kRows, MixValue, DbOptions{MultiViewConfig()});
+
+  constexpr size_t kQueries = 24;
+  constexpr size_t kBatch = 4;
+  std::mt19937_64 rng(1000 * shards + static_cast<uint64_t>(kind));
+  std::vector<RangeQuery> queries;
+  std::vector<QueryExecution> want;
+  for (size_t i = 0; i < kQueries; ++i) {
+    Value a = rng() % 1'000'000;
+    Value b = rng() % 1'000'000;
+    if (a > b) std::swap(a, b);
+    queries.push_back({a, b});
+    auto exec = oracle->ExecuteFullScan(queries.back());
+    ASSERT_TRUE(exec.ok());
+    want.push_back(*exec);
+  }
+
+  std::atomic<int> errors{0};
+  std::atomic<int> mismatches{0};
+  auto check = [&](const StatusOr<QueryExecution>& got, size_t q) {
+    if (!got.ok()) {
+      errors.fetch_add(1);
+    } else if (got->match_count != want[q].match_count ||
+               got->sum != want[q].sum) {
+      mismatches.fetch_add(1);
+    }
+  };
+  {
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < 3; ++t) {
+      readers.emplace_back([&, t]() {
+        for (size_t i = 0; i < 3 * kQueries; ++i) {
+          const size_t q = (i + t * kQueries / 3) % kQueries;
+          switch ((i + t) % 3) {
+            case 0:
+              check(table->Execute(queries[q]), q);
+              break;
+            case 1: {
+              std::vector<RangeQuery> batch;
+              for (size_t m = 0; m < kBatch; ++m) {
+                batch.push_back(queries[(q + m) % kQueries]);
+              }
+              auto got = table->ExecuteBatch(batch);
+              if (!got.ok() || got->queries.size() != kBatch) {
+                errors.fetch_add(1);
+                break;
+              }
+              for (size_t m = 0; m < kBatch; ++m) {
+                check(got->queries[m], (q + m) % kQueries);
+              }
+              break;
+            }
+            default:
+              check(table->ExecuteFullScan(queries[q]), q);
+          }
+        }
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+  }
+  ASSERT_EQ(errors.load(), 0);
+  ASSERT_EQ(mismatches.load(), 0) << "sharded answers diverged from oracle";
 
   // The writer records its script so the oracle can replay it serially.
   std::vector<std::pair<uint64_t, Value>> script;
   std::atomic<bool> failed{false};
 
   std::thread writer([&]() {
-    std::mt19937_64 rng(7);
+    std::mt19937_64 wrng(7);
     for (int i = 0; i < 200; ++i) {
-      const uint64_t row = rng() % kRows;
-      const Value v = rng() % 1'000'000;
+      const uint64_t row = wrng() % kRows;
+      const Value v = wrng() % 1'000'000;
       script.emplace_back(row, v);
       if (!table->Update(row, v).ok()) failed.store(true);
       if (i % 25 == 24 && !table->FlushUpdates().ok()) failed.store(true);
@@ -623,10 +670,10 @@ TEST(ShardedTable, ConcurrentReadersAndWriter) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t]() {
-      std::mt19937_64 rng(100 + t);
+      std::mt19937_64 rrng(100 + t);
       for (int i = 0; i < 60; ++i) {
-        Value a = rng() % 1'000'000;
-        Value b = rng() % 1'000'000;
+        Value a = rrng() % 1'000'000;
+        Value b = rrng() % 1'000'000;
         if (a > b) std::swap(a, b);
         auto exec = table->Execute({a, b});
         if (!exec.ok() || exec->match_count > kRows) failed.store(true);
@@ -638,18 +685,26 @@ TEST(ShardedTable, ConcurrentReadersAndWriter) {
   ASSERT_FALSE(failed.load());
   ASSERT_TRUE(table->FlushUpdates().ok());
 
-  // Serial replay into an oracle: the concurrent run must have converged
+  // Serial replay into the oracle: the concurrent run must have converged
   // to the same final cells.
-  auto oracle = *Db::Create(kRows, MixValue, {});
   for (const auto& [row, v] : script) ASSERT_TRUE(oracle->Update(row, v).ok());
   ASSERT_TRUE(oracle->FlushUpdates().ok());
   for (const RangeQuery q :
        {RangeQuery{0, ~Value{0}}, RangeQuery{0, 250'000},
         RangeQuery{250'001, 900'000}}) {
-    auto want = oracle->ExecuteFullScan(q);
+    auto want_final = oracle->ExecuteFullScan(q);
     auto got = table->ExecuteFullScan(q);
-    ASSERT_TRUE(want.ok() && got.ok());
-    ExpectSameAnswer(*got, *want, "post-concurrency scan");
+    ASSERT_TRUE(want_final.ok() && got.ok());
+    ExpectSameAnswer(*got, *want_final, "post-concurrency scan");
+  }
+}
+
+TEST(ShardedTable, ConcurrentReadersAndWriter) {
+  for (const PartitionKind kind :
+       {PartitionKind::kRange, PartitionKind::kHash}) {
+    for (const uint32_t shards : {2u, 4u, 8u}) {
+      RunConcurrentReadersAndWriter(kind, shards);
+    }
   }
 }
 

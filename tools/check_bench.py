@@ -11,7 +11,7 @@ fails the build on drift. The `bench` field selects the schema:
   micro_concurrent   client scaling + shared-scan batching (BENCH_concurrent.json)
   micro_persistence  restart recovery + fsync sweep        (BENCH_persistence.json)
   micro_tiering      cold-view demote/promote ablation     (BENCH_tiering.json)
-  micro_shard        shard-per-core scale-out              (BENCH_shard.json)
+  micro_shard        shard scale-out                       (BENCH_shard.json)
 
 Regression gate (--baseline): compares each produced file against the
 committed baseline of the same bench. The gate is deliberately GENEROUS —
@@ -796,7 +796,6 @@ SHARD_TOP_LEVEL_FIELDS = {
 SHARD_FIELDS = {
     "clients": int,
     "partition": str,
-    "pin_cores": bool,
     "identical_results": bool,
     "best_multi_shard_speedup": float,
     "shard_counts": list,
@@ -860,7 +859,8 @@ def check_micro_shard(doc, path):
     single = points[0]["readers_only_qps"]
     best_multi = max((p["readers_only_qps"] for p in points if p["shards"] > 1),
                      default=single)
-    derived = max(1.0, best_multi / single) if single > 0 else 1.0
+    # The raw ratio: a multi-shard slowdown must show as a value below 1.0.
+    derived = best_multi / single if single > 0 else 1.0
     if not math.isclose(derived, shard["best_multi_shard_speedup"],
                         rel_tol=1e-3):
         fail(f"{where}: best_multi_shard_speedup "
