@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <map>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "exec/batch_executor.h"
@@ -23,13 +22,38 @@ namespace vmsv {
 
 namespace {
 
-/// True when [lo_a, hi_a] and [lo_b, hi_b] overlap or are integer-adjacent
-/// (no representable value lies between them), i.e. their union is gap-free.
-/// The max-value guards keep the +1 adjacency probes from wrapping.
-bool RangesTouch(Value lo_a, Value hi_a, Value lo_b, Value hi_b) {
-  return (hi_a == ~Value{0} || lo_b <= hi_a + 1) &&
-         (hi_b == ~Value{0} || lo_a <= hi_b + 1);
-}
+/// The page dedup of a multi-view cover: one bit per column page (2 KiB at
+/// 16384 pages). The first cover view scans whole and is added with AddAll;
+/// each later view scans only the pages Insert reports as new. size() is
+/// the union's page count, the cover's scanned_pages.
+class CoverPageSet {
+ public:
+  explicit CoverPageSet(uint64_t column_pages)
+      : bits_((column_pages + 63) / 64, 0) {}
+
+  void AddAll(const VirtualView& view) {
+    view.ForEachPage([this](uint64_t page) {
+      bits_[page >> 6] |= uint64_t{1} << (page & 63);
+    });
+    size_ += view.num_pages();
+  }
+
+  /// Marks `page`; true when no earlier view held it.
+  bool Insert(uint64_t page) {
+    uint64_t& word = bits_[page >> 6];
+    const uint64_t bit = uint64_t{1} << (page & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    ++size_;
+    return true;
+  }
+
+  uint64_t size() const { return size_; }
+
+ private:
+  std::vector<uint64_t> bits_;
+  uint64_t size_ = 0;
+};
 
 }  // namespace
 
@@ -65,34 +89,43 @@ bool PartialViewIndex::FindCover(const RangeQuery& q, bool cost_based,
                                  std::vector<VirtualView*>* cover) const {
   cover->clear();
   // Greedy interval covering over the value domain: repeatedly choose among
-  // the views starting at or below the uncovered point the one that extends
-  // coverage furthest (or cheapest per unit, when cost-based).
+  // the covered ranges (each view's [lo, hi] and its extra ranges) starting
+  // at or below the uncovered point the one that extends coverage furthest
+  // (or cheapest per unit, when cost-based).
   Value point = q.lo;
   while (true) {
     VirtualView* best = nullptr;
+    Value best_hi = 0;
     double best_score = 0;
     for (const auto& view : views_) {
-      if (view->lo() > point || view->hi() < point) continue;
-      const Value extension = view->hi() - point;
-      if (extension == 0 && point < q.hi) continue;
-      double score;
-      if (cost_based) {
-        // New coverage per page scanned — maximize (the +1s avoid
-        // div-by-zero and keep zero-extension finishers eligible).
-        score = static_cast<double>(extension + 1) /
-                static_cast<double>(view->num_pages() + 1);
-      } else {
-        score = static_cast<double>(extension);
-      }
-      if (best == nullptr || score > best_score) {
-        best = view.get();
-        best_score = score;
-      }
+      auto consider = [&](const RangeQuery& range) {
+        if (range.lo > point || range.hi < point) return;
+        const Value extension = range.hi - point;
+        if (extension == 0 && point < q.hi) return;
+        double score;
+        if (cost_based) {
+          // New coverage per page scanned — maximize (the +1s avoid
+          // div-by-zero and keep zero-extension finishers eligible).
+          score = static_cast<double>(extension + 1) /
+                  static_cast<double>(view->num_pages() + 1);
+        } else {
+          score = static_cast<double>(extension);
+        }
+        if (best == nullptr || score > best_score) {
+          best = view.get();
+          best_hi = range.hi;
+          best_score = score;
+        }
+      };
+      consider(view->value_range());
+      for (const RangeQuery& extra : view->extra_ranges()) consider(extra);
     }
     if (best == nullptr) return false;  // gap at `point`
-    cover->push_back(best);
-    if (best->hi() >= q.hi) return true;
-    point = best->hi() + 1;
+    if (std::find(cover->begin(), cover->end(), best) == cover->end()) {
+      cover->push_back(best);
+    }
+    if (best_hi >= q.hi) return true;
+    point = best_hi + 1;
   }
 }
 
@@ -568,13 +601,14 @@ StatusOr<QueryExecution> AdaptiveColumn::ExecuteFullScan(
   return exec;
 }
 
-bool AdaptiveColumn::RouteQuery(const RangeQuery& q, VirtualView** view,
+bool AdaptiveColumn::RouteQuery(const RangeQuery& q,
                                 std::vector<VirtualView*>* cover) const {
-  *view = nullptr;
   cover->clear();
   if (config_.mode == QueryMode::kSingleView) {
-    *view = view_index_.FindSmallestCovering(q);
-    return *view != nullptr;
+    VirtualView* view = view_index_.FindSmallestCovering(q);
+    if (view == nullptr) return false;
+    cover->push_back(view);
+    return true;
   }
   if (!view_index_.FindCover(q, config_.cost_based_routing, cover)) {
     return false;
@@ -601,12 +635,8 @@ StatusOr<QueryExecution> AdaptiveColumn::Execute(const RangeQuery& q) {
   {
     std::shared_lock<std::shared_mutex> lock(views_mu_);
     if (pending_count_.load(std::memory_order_acquire) == 0) {
-      VirtualView* view = nullptr;
       std::vector<VirtualView*> cover;
-      if (RouteQuery(q, &view, &cover)) {
-        if (view != nullptr) {
-          return AnswerFromSingleView(view, q, std::move(lock));
-        }
+      if (RouteQuery(q, &cover)) {
         return AnswerFromCover(cover, q, std::move(lock));
       }
     }
@@ -633,59 +663,34 @@ StatusOr<QueryExecution> AdaptiveColumn::ExecuteMaintenance(
   // order (maintenance -> views) is the global one.
   {
     std::shared_lock<std::shared_mutex> lock(views_mu_);
-    VirtualView* view = nullptr;
     std::vector<VirtualView*> cover;
-    if (RouteQuery(q, &view, &cover)) {
-      if (view != nullptr) {
-        return AnswerFromSingleView(view, q, std::move(lock));
-      }
+    if (RouteQuery(q, &cover)) {
       return AnswerFromCover(cover, q, std::move(lock));
     }
   }
   return FullScanAndAdapt(q);
 }
 
-StatusOr<QueryExecution> AdaptiveColumn::AnswerFromSingleView(
-    VirtualView* view, const RangeQuery& q,
-    std::shared_lock<std::shared_mutex> lock) {
-  QueryExecution exec;
-  exec.stats.considered_views = 1;
-  exec.stats.views_after = view_index_.num_partial_views();
-  EpochManager::Guard guard = epoch_.Enter();
-  lock.unlock();
-  // From here the view is pinned by the guard: eviction would only park it
-  // on the limbo list, and in-place mutation waits for our exit.
-  const Status materialized = view->EnsureMaterialized(mapper_.get());
-  if (!materialized.ok()) {
-    // Mapping failed (address space, VMA budget, transient EAGAIN). The
-    // view stays consistently unmaterialized (EnsureMaterialized's failure
-    // contract) and a READ must not surface a resource error: the base
-    // column answers exactly, and the pressure flag asks the next
-    // maintenance pass to shed mappings.
-    NoteMapFailure();
-    health_.base_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    QueryExecution fallback = AnswerFromBase(q);
-    fallback.stats.considered_views = exec.stats.considered_views;
-    fallback.stats.views_after = exec.stats.views_after;
-    RecordQuery(fallback.stats.scanned_pages);
-    return fallback;
+bool AdaptiveColumn::MaterializeCover(const std::vector<VirtualView*>& cover) {
+  for (VirtualView* view : cover) {
+    if (!view->EnsureMaterialized(mapper_.get()).ok()) {
+      // Mapping failed (address space, VMA budget, transient EAGAIN). The
+      // view stays consistently unmaterialized (EnsureMaterialized's failure
+      // contract); the pressure flag asks the next maintenance pass to shed
+      // mappings.
+      NoteMapFailure();
+      return false;
+    }
+    // A demoted view that just re-materialized is hot again: the routed
+    // query IS the promotion signal. The CAS elects one winner among
+    // concurrent readers; the tier flip happens outside any maintenance
+    // lock, so the dirty flag asks the next flush/checkpoint to persist it.
+    if (view->PromoteIfDemoted()) {
+      health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
+      tier_dirty_.store(true, std::memory_order_release);
+    }
   }
-  // A demoted view that just re-materialized is hot again: the routed query
-  // IS the promotion signal. The CAS elects one winner among concurrent
-  // readers; the tier flip happens outside any maintenance lock, so the
-  // dirty flag asks the next flush/checkpoint to persist it.
-  if (view->PromoteIfDemoted()) {
-    health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-    tier_dirty_.store(true, std::memory_order_release);
-  }
-  view->RecordHit(metrics_.queries.load(std::memory_order_relaxed));
-  const PageScanResult r = view->Scan(q);
-  exec.match_count = r.match_count;
-  exec.sum = r.sum;
-  exec.stats.scanned_pages = view->num_pages();
-  exec.stats.decision = CandidateDecision::kAnsweredFromView;
-  RecordQuery(exec.stats.scanned_pages);
-  return exec;
+  return true;
 }
 
 StatusOr<QueryExecution> AdaptiveColumn::AnswerFromCover(
@@ -696,34 +701,35 @@ StatusOr<QueryExecution> AdaptiveColumn::AnswerFromCover(
   exec.stats.views_after = view_index_.num_partial_views();
   EpochManager::Guard guard = epoch_.Enter();
   lock.unlock();
-  // Views in a cover may share physical pages; each page is scanned once.
-  std::unordered_set<uint64_t> seen;
-  PageScanResult total;
+  // From here the views are pinned by the guard: eviction would only park
+  // them on the limbo list, and in-place mutation waits for our exit.
+  if (!MaterializeCover(cover)) {
+    // One unmappable member poisons the whole cover, and a READ must not
+    // surface a resource error: the base column answers exactly instead.
+    health_.base_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    QueryExecution fallback = AnswerFromBase(q);
+    fallback.stats.considered_views = exec.stats.considered_views;
+    fallback.stats.views_after = exec.stats.views_after;
+    RecordQuery(fallback.stats.scanned_pages);
+    return fallback;
+  }
   const uint64_t seq = metrics_.queries.load(std::memory_order_relaxed);
-  for (VirtualView* view : cover) {
-    const Status materialized = view->EnsureMaterialized(mapper_.get());
-    if (!materialized.ok()) {
-      // One unmappable member poisons the whole cover; the base column
-      // answers exactly instead (partial per-view results are discarded).
-      NoteMapFailure();
-      health_.base_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      QueryExecution fallback = AnswerFromBase(q);
-      fallback.stats.considered_views = exec.stats.considered_views;
-      fallback.stats.views_after = exec.stats.views_after;
-      RecordQuery(fallback.stats.scanned_pages);
-      return fallback;
+  for (VirtualView* view : cover) view->RecordHit(seq);
+  // The first view scans dense; views in a cover may share physical pages,
+  // so each later one scans only the pages no earlier view held.
+  PageScanResult total = cover[0]->Scan(q);
+  exec.stats.scanned_pages = cover[0]->num_pages();
+  if (cover.size() > 1) {
+    CoverPageSet seen(column_->num_pages());
+    seen.AddAll(*cover[0]);
+    for (size_t i = 1; i < cover.size(); ++i) {
+      total.Merge(cover[i]->ScanIf(
+          q, [&seen](uint64_t page) { return seen.Insert(page); }));
     }
-    if (view->PromoteIfDemoted()) {
-      health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-      tier_dirty_.store(true, std::memory_order_release);
-    }
-    view->RecordHit(seq);
-    total.Merge(view->ScanIf(
-        q, [&seen](uint64_t page) { return seen.insert(page).second; }));
+    exec.stats.scanned_pages = seen.size();
   }
   exec.match_count = total.match_count;
   exec.sum = total.sum;
-  exec.stats.scanned_pages = seen.size();
   exec.stats.decision = CandidateDecision::kAnsweredFromView;
   RecordQuery(exec.stats.scanned_pages);
   return exec;
@@ -801,9 +807,10 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
         PersistPoolChangeLocked(edit);
         break;
       case CandidateDecision::kDiscardedSubset:
-        // A discard may have widened an existing view's range (ExtendRange)
-        // — cheap to defer: the stale (narrower) range is conservative, so
-        // only the next flush/checkpoint snapshots it.
+        // A discard may have widened an existing view's range
+        // (AddCoveredRange) — cheap to defer: the stale (narrower) range is
+        // conservative, so only the next flush/checkpoint snapshots it.
+        // Extra ranges are never persisted.
         durable_->manifest_dirty = true;
         break;
       default:
@@ -832,8 +839,8 @@ CandidateDecision AdaptiveColumn::DecideCandidate(
     }
     for (const auto& view : view_index_.views()) {
       if (view->num_pages() == 0 &&
-          RangesTouch(view->lo(), view->hi(), cand_range.lo, cand_range.hi)) {
-        view->ExtendRange(cand_range.lo, cand_range.hi);
+          RangesTouch(view->value_range(), cand_range)) {
+        view->AddCoveredRange(cand_range);
         metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
         return CandidateDecision::kDiscardedSubset;
       }
@@ -851,18 +858,14 @@ CandidateDecision AdaptiveColumn::DecideCandidate(
     }
     if (missing <= config_.discard_tolerance) {
       // An exact subset proves the view holds every page with a value in the
-      // candidate's range, so the view's range may absorb it — otherwise the
-      // discarded query range would full-scan forever (its value range being
-      // covered by no view is exactly why the scan ran). Two restrictions
-      // keep the Covers() invariant ("view holds every page with a value in
-      // its range") intact: an inexact subset may miss up to `missing`
-      // pages, and a range separated by a GAP would claim values neither
-      // side ever scanned for (overlapping or integer-adjacent ranges
-      // union gap-free).
-      if (missing == 0 && RangesTouch(view->lo(), view->hi(), candidate->lo(),
-                                      candidate->hi())) {
-        view->ExtendRange(candidate->lo(), candidate->hi());
-      }
+      // candidate's range, so the view keeps that proof as a covered range —
+      // otherwise the discarded query range would full-scan forever (its
+      // value range being covered by no view is exactly why the scan ran).
+      // A range touching [lo, hi] widens it; a range across a gap becomes
+      // an extra range, which routes only queries inside it (the gap was
+      // never scanned for). An inexact subset may miss up to `missing`
+      // pages, so it proves nothing and records nothing.
+      if (missing == 0) view->AddCoveredRange(candidate->value_range());
       metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
       return CandidateDecision::kDiscardedSubset;
     }
@@ -1227,7 +1230,6 @@ StatusOr<BatchExecution> AdaptiveColumn::ExecuteBatch(
   // cost-based per-view cover path as Execute — so in kMultiView mode
   // queries jointly covered by several views stay off the base pass and
   // group into one deduplicated pass per cover.
-  std::vector<VirtualView*> routed(queries.size(), nullptr);
   std::vector<std::vector<VirtualView*>> covers(queries.size());
   EpochManager::Guard guard;
   {
@@ -1253,7 +1255,7 @@ StatusOr<BatchExecution> AdaptiveColumn::ExecuteBatch(
       lock.lock();
     }
     for (size_t i = 0; i < queries.size(); ++i) {
-      RouteQuery(queries[i], &routed[i], &covers[i]);
+      RouteQuery(queries[i], &covers[i]);
     }
     const uint64_t views_after = view_index_.num_partial_views();
     for (QueryExecution& exec : out.queries) {
@@ -1267,28 +1269,30 @@ StatusOr<BatchExecution> AdaptiveColumn::ExecuteBatch(
   const uint64_t column_pages = column_->num_pages();
   const uint64_t seq = metrics_.queries.load(std::memory_order_relaxed);
 
-  // Group the covered queries: one shared pass per single view, and one
-  // shared DEDUPLICATED pass per distinct multi-view cover.
-  std::unordered_map<VirtualView*, std::vector<size_t>> by_view;
+  // Group the covered queries: queries routed to the same cover (a single
+  // view included) share one pass per cover view.
   std::map<std::vector<VirtualView*>, std::vector<size_t>> by_cover;
   std::vector<size_t> missed;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (routed[i] != nullptr) {
-      by_view[routed[i]].push_back(i);
-    } else if (!covers[i].empty()) {
+    if (!covers[i].empty()) {
       by_cover[covers[i]].push_back(i);
     } else {
       missed.push_back(i);
     }
   }
 
-  // Queries whose view failed to materialize: they join the base pass below
+  // Queries whose cover failed to materialize: they join the base pass below
   // but are labeled kBaseFallback (vs kNone for genuinely uncovered ones).
   std::unordered_set<size_t> degraded;
-  for (auto& [view, members] : by_view) {
-    const Status materialized = view->EnsureMaterialized(mapper_.get());
-    if (!materialized.ok()) {
-      NoteMapFailure();
+  // Each cover view's pass skips the pages earlier cover views already
+  // scanned — the same dedup Execute's AnswerFromCover applies, batched.
+  // Counts and sums are associative wrap-around adds, so merging the
+  // per-view partial results reproduces the single-query answer
+  // bit-identically.
+  for (auto& [cover, members] : by_cover) {
+    if (!MaterializeCover(cover)) {
+      // One unmappable member poisons the whole cover (AnswerFromCover's
+      // contract): the group rides the base pass as kBaseFallback.
       health_.base_fallbacks.fetch_add(members.size(),
                                        std::memory_order_relaxed);
       for (const size_t i : members) {
@@ -1297,77 +1301,31 @@ StatusOr<BatchExecution> AdaptiveColumn::ExecuteBatch(
       }
       continue;
     }
-    if (view->PromoteIfDemoted()) {
-      health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-      tier_dirty_.store(true, std::memory_order_release);
-    }
     std::vector<RangeQuery> group;
     group.reserve(members.size());
     for (const size_t i : members) group.push_back(queries[i]);
-    const std::vector<PageScanResult> results = view->ScanMany(group);
-    for (size_t m = 0; m < members.size(); ++m) {
-      QueryExecution& exec = out.queries[members[m]];
-      exec.match_count = results[m].match_count;
-      exec.sum = results[m].sum;
-      exec.stats.considered_views = 1;
-      exec.stats.decision = CandidateDecision::kAnsweredFromView;
-      // The shared pass's cost lands on the group leader; followers rode
-      // along for free.
-      exec.stats.scanned_pages = m == 0 ? view->num_pages() : 0;
-      view->RecordHit(seq);
-      out.individual_equivalent_pages += view->num_pages();
-    }
-    out.shared_scanned_pages += view->num_pages();
-    out.view_answered += members.size();
-  }
-
-  // Cover groups: queries sharing the same multi-view cover share one pass
-  // per cover view over the pages no earlier cover member already scanned —
-  // the same dedup Execute's AnswerFromCover applies, batched. Counts and
-  // sums are associative wrap-around adds, so merging the per-view partial
-  // results reproduces the single-query answer bit-identically.
-  for (auto& [cover, members] : by_cover) {
-    bool cover_ok = true;
-    for (VirtualView* view : cover) {
-      const Status materialized = view->EnsureMaterialized(mapper_.get());
-      if (!materialized.ok()) {
-        // One unmappable member poisons the whole cover (AnswerFromCover's
-        // contract): the group rides the base pass as kBaseFallback.
-        NoteMapFailure();
-        health_.base_fallbacks.fetch_add(members.size(),
-                                         std::memory_order_relaxed);
-        for (const size_t i : members) {
-          degraded.insert(i);
-          missed.push_back(i);
-        }
-        cover_ok = false;
-        break;
+    std::vector<PageScanResult> totals = cover[0]->ScanMany(group);
+    uint64_t cover_pages = cover[0]->num_pages();
+    if (cover.size() > 1) {
+      CoverPageSet seen(column_pages);
+      seen.AddAll(*cover[0]);
+      for (size_t v = 1; v < cover.size(); ++v) {
+        const std::vector<PageScanResult> partial = cover[v]->ScanManyIf(
+            group, [&seen](uint64_t page) { return seen.Insert(page); });
+        for (size_t m = 0; m < members.size(); ++m) totals[m].Merge(partial[m]);
       }
-      if (view->PromoteIfDemoted()) {
-        health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-        tier_dirty_.store(true, std::memory_order_release);
-      }
+      cover_pages = seen.size();
     }
-    if (!cover_ok) continue;
-    std::vector<RangeQuery> group;
-    group.reserve(members.size());
-    for (const size_t i : members) group.push_back(queries[i]);
-    std::vector<PageScanResult> totals(members.size());
-    std::unordered_set<uint64_t> seen;
-    for (VirtualView* view : cover) {
-      const std::vector<PageScanResult> partial = view->ScanManyIf(
-          group, [&seen](uint64_t page) { return seen.insert(page).second; });
-      for (size_t m = 0; m < members.size(); ++m) totals[m].Merge(partial[m]);
-      view->RecordHit(seq);
-    }
-    const uint64_t cover_pages = seen.size();
     for (size_t m = 0; m < members.size(); ++m) {
       QueryExecution& exec = out.queries[members[m]];
       exec.match_count = totals[m].match_count;
       exec.sum = totals[m].sum;
       exec.stats.considered_views = cover.size();
       exec.stats.decision = CandidateDecision::kAnsweredFromView;
+      // The shared pass's cost lands on the group leader; followers rode
+      // along for free.
       exec.stats.scanned_pages = m == 0 ? cover_pages : 0;
+      for (VirtualView* view : cover) view->RecordHit(seq);
       // What Execute would have scanned for this query: the same
       // deduplicated cover page set.
       out.individual_equivalent_pages += cover_pages;
@@ -1513,6 +1471,12 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   // Alignment unmaps/remaps view slots in place; fence all readers off.
   epoch_.WaitQuiescent();
   auto views = view_index_.MutableViews();
+  // Alignment keeps each view exact for its [lo, hi] only: an update may
+  // move a value into an extra range on a page outside the view, so the
+  // extra ranges go (a lost hit, never a wrong answer).
+  if (!pending_.empty()) {
+    for (VirtualView* view : views) view->ClearExtraRanges();
+  }
   auto stats = AlignPartialViews(*column_, views, pending_,
                                  config_.mapping_source);
   if (!stats.ok()) {

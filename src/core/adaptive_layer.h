@@ -4,13 +4,16 @@
 // simultaneously materializes a candidate view for the queried range. A
 // bounded pool of views (`max_views`) adapts to the workload: candidates
 // that are (near-)subsets of existing views are discarded, views that are
-// (near-)subsets of a candidate are replaced.
+// (near-)subsets of a candidate are replaced. An exact-subset discard
+// leaves the candidate's value range on the absorbing view (widening its
+// [lo, hi], or as an extra covered range across a gap), so the range is
+// answered from that view from then on.
 //
 // Two routing modes:
 //   - kSingleView: a query is answered from the SMALLEST single view whose
 //     value range covers it (Figure 4);
 //   - kMultiView:  several views may jointly cover the query; their page
-//     sets are deduplicated during the scan (Figure 5). With
+//     sets are deduplicated during the scan by a page bitmap (Figure 5). With
 //     cost_based_routing, cover selection minimizes scanned pages and falls
 //     back to a full scan when the cover would be costlier.
 //
@@ -249,12 +252,15 @@ class PartialViewIndex {
     return out;
   }
 
-  /// Smallest (fewest pages) view whose value range covers q, or nullptr.
+  /// Smallest (fewest pages) view covering q (VirtualView::Covers: its
+  /// [lo, hi] or one of its extra ranges), or nullptr.
   VirtualView* FindSmallestCovering(const RangeQuery& q) const;
 
-  /// Greedy interval cover of q by view value ranges. Returns true and the
-  /// chosen views (in cover order) when a complete cover exists.
-  /// `cost_based` breaks ties toward fewer pages per unit of new coverage.
+  /// Greedy interval cover of q by the views' covered ranges ([lo, hi] and
+  /// the extra ranges). Returns true and the chosen views (in cover order,
+  /// each view once even when several of its ranges were used) when a
+  /// complete cover exists. `cost_based` breaks ties toward fewer pages per
+  /// unit of new coverage.
   bool FindCover(const RangeQuery& q, bool cost_based,
                  std::vector<VirtualView*>* cover) const;
 
@@ -512,15 +518,20 @@ class AdaptiveColumn {
       : column_(std::move(column)), config_(config),
         lifecycle_(config.lifecycle) {}
 
-  /// Reader-path answers. Both take the HELD shared index lock, record
-  /// pool-shape stats, pin an epoch guard, release the lock, and scan
-  /// lock-free.
-  StatusOr<QueryExecution> AnswerFromSingleView(
-      VirtualView* view, const RangeQuery& q,
-      std::shared_lock<std::shared_mutex> lock);
+  /// The reader-path answer from a routed cover (one view in kSingleView
+  /// mode, one or more in kMultiView). Takes the HELD shared index lock,
+  /// records pool-shape stats, pins an epoch guard, releases the lock, and
+  /// scans lock-free: the first view dense, each later view only over the
+  /// pages no earlier view held. Falls back to the base column when a
+  /// cover view fails to materialize.
   StatusOr<QueryExecution> AnswerFromCover(
       const std::vector<VirtualView*>& cover, const RangeQuery& q,
       std::shared_lock<std::shared_mutex> lock);
+
+  /// Lazily materializes every cover view and promotes demoted ones. False
+  /// (with the map failure noted) when one of them cannot be mapped; the
+  /// caller then answers from the base column. Caller holds an epoch guard.
+  bool MaterializeCover(const std::vector<VirtualView*>& cover);
 
   /// The slow path: flush pending updates, re-route (another thread may
   /// have covered q meanwhile), else full-scan-and-adapt. Serialized by
@@ -585,10 +596,10 @@ class AdaptiveColumn {
   void TrimColdTierLocked(PoolEditLog* edit);
 
   /// Routes q per config().mode against the pool. Caller holds views_mu_
-  /// (any mode). Returns true and fills exactly one of view/cover when the
+  /// (any mode). Returns true and fills `cover` (exactly one view in
+  /// kSingleView mode, distinct views in cover order otherwise) when the
   /// pool can answer q.
-  bool RouteQuery(const RangeQuery& q, VirtualView** view,
-                  std::vector<VirtualView*>* cover) const;
+  bool RouteQuery(const RangeQuery& q, std::vector<VirtualView*>* cover) const;
 
   /// Flush + (optionally) the post-flush compaction sweep. Caller holds
   /// maintenance_mu_; takes views_mu_ exclusive + epoch quiescence inside.

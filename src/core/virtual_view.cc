@@ -98,6 +98,28 @@ StatusOr<std::unique_ptr<VirtualView>> VirtualView::CreateEmpty(
       new VirtualView(column.file(), column.num_pages(), lo, hi));
 }
 
+void VirtualView::AddCoveredRange(RangeQuery range) {
+  // Absorb every extra range the new one touches. They are pairwise
+  // non-touching, so whatever touches the grown range touched the original
+  // one: a single pass finds them all.
+  size_t kept = 0;
+  for (const RangeQuery& extra : extra_ranges_) {
+    if (RangesTouch(extra, range)) {
+      range.lo = std::min(range.lo, extra.lo);
+      range.hi = std::max(range.hi, extra.hi);
+    } else {
+      extra_ranges_[kept++] = extra;
+    }
+  }
+  extra_ranges_.resize(kept);
+  if (RangesTouch(value_range(), range)) {
+    lo_ = std::min(lo_, range.lo);
+    hi_ = std::max(hi_, range.hi);
+  } else if (extra_ranges_.size() < kMaxExtraRanges) {
+    extra_ranges_.push_back(range);
+  }
+}
+
 void VirtualView::RecordPageAt(uint64_t slot, uint64_t page) {
   if (slot >= pages_.size()) {
     pages_.resize(slot + 1, kHoleSlot);

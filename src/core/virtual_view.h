@@ -205,18 +205,35 @@ class VirtualView {
   Value hi() const { return hi_; }
   RangeQuery value_range() const { return RangeQuery{lo_, hi_}; }
 
-  /// Widens the view's value range to include [lo, hi]. ONLY legal when the
-  /// caller has proven the view already contains every page holding a value
-  /// in the extension (e.g. an exact page-subset candidate was discarded);
-  /// otherwise the view would silently miss pages for covered queries.
-  void ExtendRange(Value lo, Value hi) {
-    if (lo < lo_) lo_ = lo;
-    if (hi > hi_) hi_ = hi;
-  }
+  /// Most extra covered ranges a view keeps; AddCoveredRange drops a range
+  /// that would need one more.
+  static constexpr size_t kMaxExtraRanges = 8;
+
+  /// Records that the view holds every page with a value in `range`. ONLY
+  /// legal when the caller has proven it (e.g. an exact page-subset
+  /// candidate was discarded); otherwise the view would silently miss pages
+  /// for covered queries. A range touching [lo, hi] widens it; any other
+  /// range merges with the extra ranges it touches, or becomes a new one
+  /// while fewer than kMaxExtraRanges exist. [lo, hi] and the extra ranges
+  /// stay pairwise non-touching. The engine calls this under its exclusive
+  /// index lock only.
+  void AddCoveredRange(RangeQuery range);
+
+  /// Value ranges beyond [lo, hi] the view is proven to cover. Not
+  /// persisted; cleared whenever membership is realigned to [lo, hi].
+  const std::vector<RangeQuery>& extra_ranges() const { return extra_ranges_; }
+  void ClearExtraRanges() { extra_ranges_.clear(); }
 
   /// True when this view's pages can answer q exactly: the view indexes
-  /// every page holding any value in q.
-  bool Covers(const RangeQuery& q) const { return lo_ <= q.lo && hi_ >= q.hi; }
+  /// every page holding any value in q, because q lies inside [lo, hi] or
+  /// inside one extra range.
+  bool Covers(const RangeQuery& q) const {
+    if (lo_ <= q.lo && hi_ >= q.hi) return true;
+    for (const RangeQuery& range : extra_ranges_) {
+      if (range.lo <= q.lo && range.hi >= q.hi) return true;
+    }
+    return false;
+  }
 
   /// Live (hole-free) page count.
   uint64_t num_pages() const { return num_live_; }
@@ -399,8 +416,8 @@ class VirtualView {
 
   /// Scans only pages for which `include(physical_page)` is true — the
   /// multi-view dedup hook. Membership is decided serially in slot order
-  /// (the predicate may be stateful, e.g. an insert-into-seen-set); only
-  /// the selected slots' data scan is sharded across threads.
+  /// (the predicate may be stateful, e.g. a test-and-set on a page bitmap);
+  /// only the selected slots' data scan is sharded across threads.
   template <typename Pred>
   PageScanResult ScanIf(const RangeQuery& q, Pred include) const {
     std::vector<uint64_t> slots;
@@ -482,6 +499,7 @@ class VirtualView {
   std::mutex materialize_mu_;
   Value lo_;
   Value hi_;
+  std::vector<RangeQuery> extra_ranges_;    // see extra_ranges()
   std::vector<uint64_t> pages_;             // slot -> physical page | kHoleSlot
   std::unordered_map<uint64_t, uint64_t> page_to_slot_;
   std::set<uint64_t> holes_;                // hole slots, ascending

@@ -25,6 +25,14 @@ struct RangeQuery {
   bool operator==(const RangeQuery& o) const { return lo == o.lo && hi == o.hi; }
 };
 
+/// True when a and b overlap or are integer-adjacent (no representable value
+/// lies between them), i.e. their union is gap-free. The max-value guards
+/// keep the +1 adjacency probes from wrapping.
+inline bool RangesTouch(const RangeQuery& a, const RangeQuery& b) {
+  return (a.hi == ~Value{0} || b.lo <= a.hi + 1) &&
+         (b.hi == ~Value{0} || a.lo <= b.hi + 1);
+}
+
 /// One logged update: row got new_value, previously held old_value.
 struct RowUpdate {
   uint64_t row = 0;

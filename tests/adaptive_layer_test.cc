@@ -1,6 +1,7 @@
 #include "vmsv.h"
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -324,6 +325,261 @@ TEST(AdaptiveColumnTest, ProcMapsMappingSourceMatchesBaseline) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(exec->match_count, baseline->match_count);
   EXPECT_EQ(exec->sum, baseline->sum);
+}
+
+// ---------------------------------------------------------------------------
+// Covers over shared pages and extra covered ranges, on a hand-built column
+// whose page membership per value band is known exactly.
+
+constexpr Value kBandWidth = 1000;
+// Bands A = [1000, 1999], B = [2000, 2999], C = [3000, 3999].
+constexpr Value kBandA = 1000;
+constexpr Value kBandB = 2000;
+constexpr Value kBandC = 3000;
+// Pages listed in no band hold values far above every band.
+constexpr Value kFar = 1'000'000;
+
+RangeQuery Band(Value lo) { return RangeQuery{lo, lo + kBandWidth - 1}; }
+
+// kTestPages pages; page p holds values from the bands in page_bands[p],
+// round-robin over its rows, and far values when it has no band.
+std::unique_ptr<PhysicalColumn> MakeBandedColumn(
+    const std::vector<std::vector<Value>>& page_bands) {
+  auto column_r = PhysicalColumn::Create(kTestPages * kValuesPerPage);
+  EXPECT_TRUE(column_r.ok()) << column_r.status().ToString();
+  auto column = std::move(column_r).ValueOrDie();
+  for (uint64_t row = 0; row < column->num_rows(); ++row) {
+    const uint64_t page = PhysicalColumn::PageOfRow(row);
+    const std::vector<Value> bands =
+        page < page_bands.size() ? page_bands[page] : std::vector<Value>{};
+    column->Set(row, bands.empty()
+                         ? kFar + row
+                         : bands[row % bands.size()] + (row * 7) % kBandWidth);
+  }
+  return column;
+}
+
+std::unique_ptr<Table> MakeTable(std::unique_ptr<PhysicalColumn> column,
+                                 const AdaptiveConfig& config) {
+  auto table_r = Db::Create(std::move(column), DbOptions{config});
+  EXPECT_TRUE(table_r.ok()) << table_r.status().ToString();
+  return std::move(table_r).ValueOrDie();
+}
+
+void ExpectMatchesOracle(Table* table, const RangeQuery& q,
+                         const QueryExecution& exec) {
+  auto oracle = table->ExecuteFullScan(q);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(exec.match_count, oracle->match_count)
+      << "[" << q.lo << "," << q.hi << "]";
+  EXPECT_EQ(exec.sum, oracle->sum) << "[" << q.lo << "," << q.hi << "]";
+}
+
+class CoverAnswerTest : public ::testing::TestWithParam<QueryMode> {
+ protected:
+  AdaptiveConfig Config(size_t max_views) const {
+    AdaptiveConfig config;
+    config.mode = GetParam();
+    config.cost_based_routing = true;
+    config.max_views = max_views;
+    return config;
+  }
+};
+
+TEST_P(CoverAnswerTest, SharedPageCoversMatchOracleAndScanTheUnion) {
+  // View A = pages {0-4, 12}, B = {4-8, 12}, C = {8-12}: A and B share
+  // pages 4 and 12, B and C share 8 and 12, all three share 12.
+  std::vector<std::vector<Value>> bands(13);
+  for (uint64_t p = 0; p <= 3; ++p) bands[p] = {kBandA};
+  bands[4] = {kBandA, kBandB};
+  for (uint64_t p = 5; p <= 7; ++p) bands[p] = {kBandB};
+  bands[8] = {kBandB, kBandC};
+  for (uint64_t p = 9; p <= 11; ++p) bands[p] = {kBandC};
+  bands[12] = {kBandA, kBandB, kBandC};
+  auto table = MakeTable(MakeBandedColumn(bands), Config(8));
+  for (const Value band : {kBandA, kBandB, kBandC}) {
+    auto built = table->Execute(Band(band));
+    ASSERT_TRUE(built.ok());
+    ASSERT_EQ(built->stats.decision, CandidateDecision::kInserted);
+  }
+  ASSERT_EQ(table->shard(0)->view_index().num_partial_views(), 3u);
+
+  struct Case {
+    RangeQuery q;
+    uint64_t views;
+    uint64_t union_pages;
+  };
+  const std::vector<Case> cases = {
+      {RangeQuery{1200, 1800}, 1, 6},   // A
+      {RangeQuery{1500, 2500}, 2, 10},  // A + B: 12 pages, 10 distinct
+      {RangeQuery{1500, 3500}, 3, 13},  // A + B + C: 17 pages, 13 distinct
+  };
+  for (const Case& c : cases) {
+    // Single-view routing only ever answers from one view.
+    if (GetParam() == QueryMode::kSingleView && c.views > 1) continue;
+    SCOPED_TRACE(c.views);
+    auto exec = table->Execute(c.q);
+    ASSERT_TRUE(exec.ok());
+    EXPECT_EQ(exec->stats.decision, CandidateDecision::kAnsweredFromView);
+    EXPECT_EQ(exec->stats.considered_views, c.views);
+    EXPECT_EQ(exec->stats.scanned_pages, c.union_pages);
+    ExpectMatchesOracle(table.get(), c.q, *exec);
+
+    // The batch path dedups the same way: the group leader is charged the
+    // union once, and each member counts it as its individual cost.
+    auto batch = table->ExecuteBatch({c.q, c.q});
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch->view_answered, 2u);
+    EXPECT_EQ(batch->shared_scanned_pages, c.union_pages);
+    EXPECT_EQ(batch->individual_equivalent_pages, 2 * c.union_pages);
+    EXPECT_EQ(batch->queries[0].stats.scanned_pages, c.union_pages);
+    EXPECT_EQ(batch->queries[1].stats.scanned_pages, 0u);
+    for (const QueryExecution& member : batch->queries) {
+      EXPECT_EQ(member.stats.considered_views, c.views);
+      ExpectMatchesOracle(table.get(), c.q, member);
+    }
+  }
+}
+
+// Pages 0-3 hold bands A and C and nothing else does; band B holds no data.
+// So C's pages are an exact subset of A's view, across the gap B.
+std::vector<std::vector<Value>> GappedBands() {
+  return std::vector<std::vector<Value>>(4, {kBandA, kBandC});
+}
+
+TEST_P(CoverAnswerTest, GappedExactSubsetRangeIsAnsweredFromItsView) {
+  auto table = MakeTable(MakeBandedColumn(GappedBands()), Config(8));
+  auto a = table->Execute(Band(kBandA));
+  ASSERT_TRUE(a.ok());
+  ASSERT_EQ(a->stats.decision, CandidateDecision::kInserted);
+
+  auto first = table->Execute(Band(kBandC));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->stats.decision, CandidateDecision::kDiscardedSubset);
+  ExpectMatchesOracle(table.get(), Band(kBandC), *first);
+  // The discard kept its proof: C is now an extra range of A's view.
+  const VirtualView& view = *table->shard(0)->view_index().views()[0];
+  EXPECT_EQ(view.value_range(), Band(kBandA));
+  ASSERT_EQ(view.extra_ranges().size(), 1u);
+  EXPECT_EQ(view.extra_ranges()[0], Band(kBandC));
+
+  for (const RangeQuery& q : {Band(kBandC), RangeQuery{3200, 3300}}) {
+    auto again = table->Execute(q);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->stats.decision, CandidateDecision::kAnsweredFromView);
+    EXPECT_EQ(again->stats.scanned_pages, 4u);
+    ExpectMatchesOracle(table.get(), q, *again);
+  }
+
+  // The gap was never scanned for: it must not route to the view.
+  auto gap = table->Execute(Band(kBandB));
+  ASSERT_TRUE(gap.ok());
+  EXPECT_NE(gap->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(gap->match_count, 0u);
+
+  if (GetParam() == QueryMode::kMultiView) {
+    // The gap is now an empty view, so A's view covers [A, C] twice over
+    // (its [lo, hi] and its extra range) around the empty view; it appears
+    // once in the cover and its pages are scanned once.
+    const RangeQuery spanning{kBandA, kBandC + kBandWidth - 1};
+    auto exec = table->Execute(spanning);
+    ASSERT_TRUE(exec.ok());
+    EXPECT_EQ(exec->stats.decision, CandidateDecision::kAnsweredFromView);
+    EXPECT_EQ(exec->stats.considered_views, 2u);
+    EXPECT_EQ(exec->stats.scanned_pages, 4u);
+    ExpectMatchesOracle(table.get(), spanning, *exec);
+  }
+}
+
+TEST_P(CoverAnswerTest, FlushedUpdateIntoExtraRangeIsAnswered) {
+  auto table = MakeTable(MakeBandedColumn(GappedBands()), Config(8));
+  ASSERT_TRUE(table->Execute(Band(kBandA)).ok());
+  ASSERT_TRUE(table->Execute(Band(kBandC)).ok());  // records the extra range
+  auto hit = table->Execute(Band(kBandC));
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit->stats.decision, CandidateDecision::kAnsweredFromView);
+
+  // Move a value into C on page 10, outside the view. Alignment keeps the
+  // view exact for A only, so the flush must drop the extra range.
+  const uint64_t row = 10 * kValuesPerPage + 3;
+  ASSERT_TRUE(table->Update(row, kBandC + 500).ok());
+  ASSERT_TRUE(table->FlushUpdates().ok());
+  auto after = table->Execute(Band(kBandC));
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(after->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(after->match_count, hit->match_count + 1);
+  ExpectMatchesOracle(table.get(), Band(kBandC), *after);
+  auto repeat = table->Execute(Band(kBandC));
+  ASSERT_TRUE(repeat.ok());
+  ExpectMatchesOracle(table.get(), Band(kBandC), *repeat);
+}
+
+TEST_P(CoverAnswerTest, EvictedViewNoLongerAnswersItsExtraRange) {
+  AdaptiveConfig config = Config(1);
+  config.lifecycle.eviction_policy = EvictionPolicy::kCostAware;
+  // Any candidate outscores the pool member: every admission evicts.
+  config.lifecycle.eviction_margin = 1e-9;
+  auto table = MakeTable(MakeBandedColumn(GappedBands()), config);
+  ASSERT_TRUE(table->Execute(Band(kBandA)).ok());
+  ASSERT_TRUE(table->Execute(Band(kBandC)).ok());  // records the extra range
+  auto hit = table->Execute(Band(kBandC));
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit->stats.decision, CandidateDecision::kAnsweredFromView);
+
+  // A far range takes the only pool slot.
+  auto far = table->Execute(RangeQuery{kFar, kFar + 10 * kValuesPerPage});
+  ASSERT_TRUE(far.ok());
+  ASSERT_EQ(far->stats.decision, CandidateDecision::kEvictedExisting);
+  EXPECT_EQ(table->shard(0)->metrics().views_evicted, 1u);
+
+  auto after = table->Execute(Band(kBandC));
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(after->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(after->stats.scanned_pages, kTestPages);
+  ExpectMatchesOracle(table.get(), Band(kBandC), *after);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModes, CoverAnswerTest,
+                         ::testing::Values(QueryMode::kSingleView,
+                                           QueryMode::kMultiView));
+
+TEST(VirtualViewRangesTest, AddCoveredRangeMergesExtendsAndCaps) {
+  auto column = MakeTestColumn(DataDistribution::kSine);
+  auto view_r = VirtualView::CreateEmpty(*column, 100, 199);
+  ASSERT_TRUE(view_r.ok());
+  VirtualView& view = **view_r;
+
+  view.AddCoveredRange(RangeQuery{300, 399});
+  view.AddCoveredRange(RangeQuery{500, 599});
+  ASSERT_EQ(view.extra_ranges().size(), 2u);
+  EXPECT_TRUE(view.Covers(RangeQuery{320, 380}));
+  EXPECT_FALSE(view.Covers(RangeQuery{250, 260}));  // the gap
+  EXPECT_FALSE(view.Covers(RangeQuery{150, 350}));  // spans the gap
+
+  // Touching two extra ranges merges all three into one.
+  view.AddCoveredRange(RangeQuery{400, 499});
+  ASSERT_EQ(view.extra_ranges().size(), 1u);
+  EXPECT_EQ(view.extra_ranges()[0], (RangeQuery{300, 599}));
+
+  // Touching [lo, hi] widens it and absorbs what the new range touched.
+  view.AddCoveredRange(RangeQuery{200, 299});
+  EXPECT_EQ(view.value_range(), (RangeQuery{100, 599}));
+  EXPECT_TRUE(view.extra_ranges().empty());
+
+  // Past the cap a disjoint range is dropped; a touching one still merges.
+  for (size_t i = 0; i < VirtualView::kMaxExtraRanges + 2; ++i) {
+    const Value lo = 1000 + 100 * i;
+    view.AddCoveredRange(RangeQuery{lo, lo + 49});
+  }
+  EXPECT_EQ(view.extra_ranges().size(), VirtualView::kMaxExtraRanges);
+  EXPECT_FALSE(view.Covers(RangeQuery{1000 + 100 * VirtualView::kMaxExtraRanges,
+                                      1000 + 100 * VirtualView::kMaxExtraRanges}));
+  view.AddCoveredRange(RangeQuery{1050, 1099});
+  EXPECT_TRUE(view.Covers(RangeQuery{1000, 1099}));
+
+  view.ClearExtraRanges();
+  EXPECT_FALSE(view.Covers(RangeQuery{1000, 1049}));
+  EXPECT_TRUE(view.Covers(RangeQuery{100, 599}));
 }
 
 }  // namespace

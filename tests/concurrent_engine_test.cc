@@ -179,6 +179,66 @@ TEST(BatchExecutorTest, SharedScanBitIdenticalAcrossKernelsAndThreads) {
 // ---------------------------------------------------------------------------
 // Concurrent readers vs serial oracle
 
+struct ScriptedUpdate {
+  uint64_t row;
+  Value value;
+};
+
+/// Every (count, sum) each query may observe while `script` runs. The
+/// engine linearizes every read against a PREFIX of the update script
+/// (updates exclude readers; queries flush before answering), so each
+/// observed answer must equal the full-scan result after some prefix.
+/// Built incrementally: one value changes per step, so each query's
+/// aggregate adjusts in O(1).
+struct PrefixOracle {
+  std::vector<std::set<std::pair<uint64_t, Value>>> valid;
+  /// The answers after the whole script.
+  std::vector<std::pair<uint64_t, Value>> final;
+};
+
+PrefixOracle BuildPrefixOracle(const PhysicalColumn& column,
+                               const std::vector<RangeQuery>& queries,
+                               const std::vector<ScriptedUpdate>& script) {
+  std::vector<Value> shadow(column.num_rows());
+  for (uint64_t row = 0; row < shadow.size(); ++row) {
+    shadow[row] = column.Get(row);
+  }
+  PrefixOracle oracle;
+  oracle.valid.resize(queries.size());
+  oracle.final.resize(queries.size());
+  auto& valid = oracle.valid;
+  auto& current = oracle.final;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    uint64_t count = 0;
+    Value sum = 0;
+    for (const Value v : shadow) {
+      if (queries[qi].Contains(v)) {
+        ++count;
+        sum += v;
+      }
+    }
+    current[qi] = {count, sum};
+    valid[qi].insert(current[qi]);
+  }
+  for (const ScriptedUpdate& update : script) {
+    const Value old_value = shadow[update.row];
+    shadow[update.row] = update.value;
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      auto& [count, sum] = current[qi];
+      if (queries[qi].Contains(old_value)) {
+        --count;
+        sum -= old_value;
+      }
+      if (queries[qi].Contains(update.value)) {
+        ++count;
+        sum += update.value;
+      }
+      valid[qi].insert(current[qi]);
+    }
+  }
+  return oracle;
+}
+
 TEST(ConcurrentEngineTest, ConcurrentReadersMatchSerialOracle) {
   AdaptiveConfig config;
   config.max_views = 4;  // force budget pressure under concurrent adaptation
@@ -287,10 +347,6 @@ TEST(ConcurrentEngineTest, ReadersRaceUpdaterAndLifecycleMaintenance) {
   // The deterministic update script: fully rewrite two pages to a far value
   // (page-membership churn: holes + compaction triggers), plus scattered
   // single-row updates.
-  struct ScriptedUpdate {
-    uint64_t row;
-    Value value;
-  };
   std::vector<ScriptedUpdate> script;
   for (const uint64_t page : {uint64_t{3}, uint64_t{9}}) {
     for (uint64_t row = page * kValuesPerPage; row < (page + 1) * kValuesPerPage;
@@ -310,45 +366,9 @@ TEST(ConcurrentEngineTest, ReadersRaceUpdaterAndLifecycleMaintenance) {
     queries.push_back(RangeQuery{lo, lo + kMaxValue / 6});
   }
 
-  // Serial oracle: the engine linearizes every read against a PREFIX of the
-  // update script (updates exclude readers; queries flush before
-  // answering), so each observed (count, sum) must equal the full-scan
-  // result after some prefix. Built incrementally: one value changes per
-  // step, so each query's aggregate adjusts in O(1).
-  std::vector<Value> shadow(kTestPages * kValuesPerPage);
-  for (uint64_t row = 0; row < shadow.size(); ++row) {
-    shadow[row] = column->Get(row);
-  }
-  std::vector<std::set<std::pair<uint64_t, Value>>> valid(queries.size());
-  std::vector<std::pair<uint64_t, Value>> current(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    uint64_t count = 0;
-    Value sum = 0;
-    for (const Value v : shadow) {
-      if (queries[qi].Contains(v)) {
-        ++count;
-        sum += v;
-      }
-    }
-    current[qi] = {count, sum};
-    valid[qi].insert(current[qi]);
-  }
-  for (const ScriptedUpdate& update : script) {
-    const Value old_value = shadow[update.row];
-    shadow[update.row] = update.value;
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      auto& [count, sum] = current[qi];
-      if (queries[qi].Contains(old_value)) {
-        --count;
-        sum -= old_value;
-      }
-      if (queries[qi].Contains(update.value)) {
-        ++count;
-        sum += update.value;
-      }
-      valid[qi].insert(current[qi]);
-    }
-  }
+  const PrefixOracle oracle = BuildPrefixOracle(*column, queries, script);
+  const auto& valid = oracle.valid;
+  const auto& current = oracle.final;
 
   auto adaptive_r = Db::Create(std::move(column), DbOptions{config});
   ASSERT_TRUE(adaptive_r.ok());
@@ -405,6 +425,139 @@ TEST(ConcurrentEngineTest, ReadersRaceUpdaterAndLifecycleMaintenance) {
   }
   adaptive->shard(0)->epoch_manager().TryReclaim();
   EXPECT_EQ(adaptive->shard(0)->epoch_manager().limbo_size(), 0u);
+}
+
+TEST(ConcurrentEngineTest, MultiViewReadersRaceExtraRangeAdaptationAndWriter) {
+  // Cost-based multi-view routing over a column built so that adaptation
+  // keeps recording extra covered ranges: for each pair k, pages 4k..4k+3
+  // hold values from a low and a high band with an empty gap between them,
+  // so the high band's candidate is an exact page subset of the low band's
+  // view (or the other way round), across the gap. The writer moves values
+  // on other pages into and back out of the bands; every flush drops the
+  // extra ranges and the readers' adaptations record them again.
+  constexpr uint64_t kPairs = 4;
+  constexpr Value kStride = 10'000;
+  constexpr Value kWidth = 1'000;
+  constexpr Value kFar = 1'000'000;
+  auto low = [&](uint64_t k) { return k * kStride + 1'000; };
+  auto high = [&](uint64_t k) { return k * kStride + 3'000; };
+  auto column_r = PhysicalColumn::Create(kTestPages * kValuesPerPage);
+  ASSERT_TRUE(column_r.ok());
+  auto column = std::move(column_r).ValueOrDie();
+  for (uint64_t row = 0; row < column->num_rows(); ++row) {
+    const uint64_t page = PhysicalColumn::PageOfRow(row);
+    const uint64_t k = page / 4;
+    column->Set(row, k >= kPairs ? kFar + row
+                                 : (row % 2 == 0 ? low(k) : high(k)) +
+                                       (row * 7) % kWidth);
+  }
+
+  std::vector<RangeQuery> queries;
+  for (uint64_t k = 0; k < kPairs; ++k) {
+    queries.push_back(RangeQuery{low(k), low(k) + kWidth - 1});
+    queries.push_back(RangeQuery{high(k), high(k) + kWidth - 1});
+    queries.push_back(RangeQuery{high(k) + 200, high(k) + 300});
+    queries.push_back(RangeQuery{low(k) + kWidth, high(k) - 1});  // the gap
+  }
+  // Move one value per far page into a band, each followed by a value
+  // change on the pair's own pages; then half the moved values move back
+  // out. A reader still routed to a view that misses a moved value would
+  // see the later own-page changes without it — an answer no prefix of the
+  // script produces.
+  std::vector<ScriptedUpdate> script;
+  auto far_row = [&](uint64_t i) {
+    return (4 * kPairs + i) * kValuesPerPage + i;
+  };
+  for (uint64_t i = 0; i < 32; ++i) {
+    const uint64_t k = i % kPairs;
+    script.push_back(ScriptedUpdate{
+        far_row(i), (i % 3 == 0 ? low(k) : high(k)) + (i * 31) % kWidth});
+    // Odd rows of the pair's pages hold high-band values.
+    const uint64_t own_row = (4 * k + i % 4) * kValuesPerPage + 2 * i + 1;
+    script.push_back(ScriptedUpdate{own_row, high(k) + (i * 13) % kWidth});
+  }
+  for (uint64_t i = 0; i < 16; ++i) {
+    script.push_back(ScriptedUpdate{far_row(i), kFar + far_row(i)});
+  }
+  const PrefixOracle oracle = BuildPrefixOracle(*column, queries, script);
+
+  AdaptiveConfig config;
+  config.mode = QueryMode::kMultiView;
+  config.cost_based_routing = true;
+  config.max_views = 8;  // fewer than the ranges: evictions race too
+  auto table_r = Db::Create(std::move(column), DbOptions{config});
+  ASSERT_TRUE(table_r.ok());
+  auto& table = *table_r;
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  // Reader progress paces the writer, so every update lands between reads.
+  std::atomic<uint64_t> reads{0};
+  std::atomic<int> readers_running{kReaders};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      auto valid = [&](size_t qi, const QueryExecution& exec) {
+        return oracle.valid[qi].count({exec.match_count, exec.sum}) != 0;
+      };
+      struct Exit {
+        std::atomic<int>* running;
+        ~Exit() { --*running; }
+      } exit{&readers_running};
+      for (int i = 0;; ++i, ++reads) {
+        const bool finish = writer_done.load();
+        if (t == 0) {
+          // One reader answers through the batch path's cover groups.
+          auto batch = table->ExecuteBatch(queries);
+          if (!batch.ok()) {
+            ++failures;
+            return;
+          }
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            if (!valid(qi, batch->queries[qi])) {
+              ++failures;
+              return;
+            }
+          }
+        } else {
+          const size_t qi = (t * 5 + i) % queries.size();
+          auto exec = table->Execute(queries[qi]);
+          if (!exec.ok() || !valid(qi, *exec)) {
+            ++failures;
+            return;
+          }
+        }
+        if (finish && i > 2 * static_cast<int>(queries.size())) return;
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (size_t u = 0; u < script.size(); ++u) {
+      const uint64_t target = reads.load() + 4;
+      while (reads.load() < target && readers_running.load() > 0) {
+        std::this_thread::yield();
+      }
+      if (!table->Update(script[u].row, script[u].value).ok()) ++failures;
+      // Frequent flushes clear the extra ranges under the readers' feet.
+      if (u % 4 == 3 && !table->FlushUpdates().ok()) ++failures;
+    }
+    writer_done.store(true);
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    auto exec = table->Execute(queries[qi]);
+    ASSERT_TRUE(exec.ok());
+    EXPECT_EQ(exec->match_count, oracle.final[qi].first) << "query " << qi;
+    EXPECT_EQ(exec->sum, oracle.final[qi].second);
+  }
+  // Exact-subset discards happened, i.e. extra ranges were recorded.
+  EXPECT_GT(table->shard(0)->metrics().views_discarded, 0u);
+  table->shard(0)->epoch_manager().TryReclaim();
+  EXPECT_EQ(table->shard(0)->epoch_manager().limbo_size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ TEST(ManifestTest, ReplaceIsAtomicAndCorruptionIsDetected) {
   manifest.num_rows = 10;
   manifest.num_pages = 1;
   ASSERT_TRUE(WriteManifest(scratch.path(), manifest, true).ok());
-  manifest.views.push_back(ManifestView{1, 1, 2, 1, {0}});
+  manifest.views.push_back(ManifestView{1, 1, 2, 1, /*demoted=*/false, {0}});
   ASSERT_TRUE(WriteManifest(scratch.path(), manifest, true).ok());
   // The tmp file never lingers after a successful replace.
   EXPECT_FALSE(fs::exists(ManifestPath(scratch.path()) + ".tmp"));
@@ -778,8 +778,8 @@ TEST(ManifestDeltaLogTest, ApplyFiltersByEpochAndRaisesIdWatermark) {
   ViewManifest base;
   base.epoch = 5;
   base.next_view_id = 3;
-  base.views.push_back(ManifestView{1, 0, 9, 1, {0}});
-  base.views.push_back(ManifestView{2, 10, 19, 1, {1}});
+  base.views.push_back(ManifestView{1, 0, 9, 1, /*demoted=*/false, {0}});
+  base.views.push_back(ManifestView{2, 10, 19, 1, /*demoted=*/false, {1}});
   const std::vector<ManifestDelta> deltas = {
       UpsertDelta(4, 7, 90, 99, {5}),    // stale epoch: skipped
       UpsertDelta(5, 2, 10, 25, {1, 2}), // replaces view 2 in place
