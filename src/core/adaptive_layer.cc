@@ -373,7 +373,7 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::Open(
                      " beyond column (" +
                      std::to_string(adaptive->column().num_rows()) + " rows)");
     }
-    adaptive->mutable_column()->Set(update.row, update.new_value);
+    adaptive->column_->Set(update.row, update.new_value);
     // The RECORDED old value feeds net-effect filtering; the current cell
     // holds the new value already after the Set above (or after a previous
     // replay), so re-reading it would drop the record as a no-op.
@@ -739,10 +739,14 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
   // Caller holds maintenance_mu_: the base column's content is frozen (the
   // update path needs the same mutex) and this is the only candidate being
   // built, so the scan runs without any lock or guard.
-  // The full scan doubles as candidate materialization (§2.3): one pass
-  // answers the query and rewires the qualifying pages into a new view.
+  // The scan doubles as candidate materialization (§2.3): one pass answers
+  // the query and rewires the qualifying pages into a new view. It reads
+  // only the pages whose zone meets q; while the zone map is not built it
+  // reads every page and builds the map on the way.
+  const bool building_zones = page_zones_.empty();
   auto built = BuildViewAndAnswer(*column_, q.lo, q.hi, q, config_.creation,
-                                  mapper_.get());
+                                  mapper_.get(), &page_zones_);
+  if (building_zones && !page_zones_.empty()) PublishColumnZoneLocked();
   if (!built.ok()) {
     const StatusCode code = built.status().code();
     if (code == StatusCode::kIoError || code == StatusCode::kResourceExhausted) {
@@ -762,8 +766,12 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
     }
     return built.status();
   }
+  // The creation cost is the full-scan equivalent, not the pages this
+  // pruned scan read: eviction scores then stay what they were without the
+  // zone map (which a load or a restart drops), and so does every pool
+  // decision.
   built->view->SetCreationInfo(metrics_.queries.load(std::memory_order_relaxed),
-                               built->scanned_pages);
+                               column_->num_pages());
 
   QueryExecution exec;
   exec.match_count = built->query_result.match_count;
@@ -1432,6 +1440,21 @@ Status AdaptiveColumn::Update(uint64_t row, Value new_value) {
       ack_lsn = lsn;
     }
   }
+  // Widen the zones BEFORE the cell write: a miss or a sharded router that
+  // can see the new value must already count its page in.
+  if (!page_zones_.empty()) {
+    PageZone& zone = page_zones_[PhysicalColumn::PageOfRow(row)];
+    zone.min = std::min(zone.min, new_value);
+    zone.max = std::max(zone.max, new_value);
+  }
+  if (zone_known_.load(std::memory_order_relaxed)) {
+    if (new_value < zone_lo_.load(std::memory_order_relaxed)) {
+      zone_lo_.store(new_value, std::memory_order_relaxed);
+    }
+    if (new_value > zone_hi_.load(std::memory_order_relaxed)) {
+      zone_hi_.store(new_value, std::memory_order_relaxed);
+    }
+  }
   {
     std::unique_lock<std::shared_mutex> xlock(views_mu_);
     // In-place mutation: block new readers (exclusive lock), wait out the
@@ -1467,6 +1490,7 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   if (durable_ != nullptr && !pending_.empty()) {
     VMSV_RETURN_IF_ERROR(durable_->journal->Sync());
   }
+  RefreshZonesLocked();
   std::unique_lock<std::shared_mutex> xlock(views_mu_);
   // Alignment unmaps/remaps view slots in place; fence all readers off.
   epoch_.WaitQuiescent();
@@ -1558,6 +1582,52 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
     VMSV_RETURN_IF_ERROR(PersistCheckpointLocked());
   }
   return stats;
+}
+
+// ---------------------------------------------------------------------------
+// Zone map
+
+PhysicalColumn* AdaptiveColumn::mutable_column() {
+  std::lock_guard<std::mutex> maintenance(maintenance_mu_);
+  page_zones_.clear();
+  zone_known_.store(false, std::memory_order_release);
+  return column_.get();
+}
+
+bool AdaptiveColumn::ZoneMayMatch(const RangeQuery& q) const {
+  if (!zone_known_.load(std::memory_order_acquire)) return true;
+  return q.lo <= zone_hi_.load(std::memory_order_relaxed) &&
+         q.hi >= zone_lo_.load(std::memory_order_relaxed);
+}
+
+void AdaptiveColumn::BuildZoneMap() {
+  std::lock_guard<std::mutex> maintenance(maintenance_mu_);
+  page_zones_.resize(column_->num_pages());
+  for (uint64_t page = 0; page < page_zones_.size(); ++page) {
+    page_zones_[page] =
+        ComputePageZone(column_->PageData(page), kValuesPerPage);
+  }
+  PublishColumnZoneLocked();
+}
+
+void AdaptiveColumn::PublishColumnZoneLocked() {
+  PageZone column_zone;
+  for (const PageZone& zone : page_zones_) {
+    column_zone.min = std::min(column_zone.min, zone.min);
+    column_zone.max = std::max(column_zone.max, zone.max);
+  }
+  zone_lo_.store(column_zone.min, std::memory_order_relaxed);
+  zone_hi_.store(column_zone.max, std::memory_order_relaxed);
+  zone_known_.store(true, std::memory_order_release);
+}
+
+void AdaptiveColumn::RefreshZonesLocked() {
+  if (page_zones_.empty() || pending_.empty()) return;
+  for (const uint64_t page : pending_.TouchedPages()) {
+    page_zones_[page] =
+        ComputePageZone(column_->PageData(page), kValuesPerPage);
+  }
+  PublishColumnZoneLocked();
 }
 
 // ---------------------------------------------------------------------------

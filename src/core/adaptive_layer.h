@@ -1,7 +1,9 @@
 // AdaptiveColumn — the adaptive query-processing layer (paper §2.2,
 // Listing 1), now a CONCURRENT query engine. Every range query is answered
-// either from partial virtual views that cover it, or by a full scan that
-// simultaneously materializes a candidate view for the queried range. A
+// either from partial virtual views that cover it, or by a scan that
+// simultaneously materializes a candidate view for the queried range. That
+// scan reads only the pages whose [min, max] zone meets the query (the
+// first one reads every page and builds the per-page zone map). A
 // bounded pool of views (`max_views`) adapts to the workload: candidates
 // that are (near-)subsets of existing views are discarded, views that are
 // (near-)subsets of a candidate are replaced. An exact-subset discard
@@ -409,10 +411,11 @@ class AdaptiveColumn {
   /// is tested against.
   Status Checkpoint();
 
-  /// Answers q adaptively (Listing 1): from views when covered, else full
-  /// scan + candidate materialization + insert/discard/replace/evict
-  /// decision. Pending updates are flushed first, and views left fragmented
-  /// (or file-scattered) by the flush are compacted per config().lifecycle.
+  /// Answers q adaptively (Listing 1): from views when covered, else a
+  /// zone-pruned scan + candidate materialization + insert/discard/replace/
+  /// evict decision. Pending updates are flushed first, and views left
+  /// fragmented (or file-scattered) by the flush are compacted per
+  /// config().lifecycle.
   /// Thread-safe; view-answered queries from different threads proceed in
   /// parallel, maintenance (flush/adapt) serializes.
   /// Error contract: InvalidArgument when q.lo > q.hi; mapping-layer
@@ -470,7 +473,23 @@ class AdaptiveColumn {
   }
 
   const PhysicalColumn& column() const { return *column_; }
-  PhysicalColumn* mutable_column() { return column_.get(); }
+  /// Direct cell access for the LOAD PHASE only: no query or update may run
+  /// between this call and the end of the load. It drops the zone map (the
+  /// load may write any value anywhere), so the column zone reads unknown
+  /// and the next miss scans every page and rebuilds the map.
+  PhysicalColumn* mutable_column();
+
+  /// False only when no value of the column can lie in q: the column zone
+  /// (the union of the per-page zones, widened by every Update before its
+  /// cell write) misses q. True while the zone is unknown — before the
+  /// zone map is first built, and after mutable_column(). Lock-free; the
+  /// sharded router prunes its fan-out with it.
+  bool ZoneMayMatch(const RangeQuery& q) const;
+
+  /// Builds the zone map now, in one pass, instead of at the first miss.
+  /// Thread-safe (serializes with maintenance).
+  void BuildZoneMap();
+
   /// The live pool. Do not call while other threads are querying — pool
   /// membership is guarded by the engine's internal locks.
   const PartialViewIndex& view_index() const { return view_index_; }
@@ -538,6 +557,13 @@ class AdaptiveColumn {
   /// maintenance_mu_.
   StatusOr<QueryExecution> ExecuteMaintenance(const RangeQuery& q);
   StatusOr<QueryExecution> FullScanAndAdapt(const RangeQuery& q);
+
+  /// Zone-map upkeep; caller holds maintenance_mu_. PublishColumnZoneLocked
+  /// makes the column zone the union of the page zones. RefreshZonesLocked
+  /// recomputes the zones of the pages the pending batch wrote, which
+  /// Update only widened.
+  void PublishColumnZoneLocked();
+  void RefreshZonesLocked();
 
   /// The degradation read path: answers q exactly from the base column
   /// under an already-held epoch guard (never errors on mapping state).
@@ -740,10 +766,21 @@ class AdaptiveColumn {
   /// in-place mutations. Mutable: the const baseline scan is a reader too.
   mutable std::shared_mutex views_mu_;
   /// Serializes all engine mutation: update application, flushes,
-  /// candidate-building full scans. Ordered BEFORE views_mu_.
+  /// candidate-building scans, the zone map. Ordered BEFORE views_mu_.
   std::mutex maintenance_mu_;
   PartialViewIndex view_index_;
   UpdateBatch pending_;                     // guarded by maintenance_mu_
+  /// One [min, max] per column page over the whole page (zero tail
+  /// included), or empty while not built. Guarded by maintenance_mu_.
+  std::vector<PageZone> page_zones_;
+  /// The column zone behind ZoneMayMatch. Written under maintenance_mu_
+  /// only and read lock-free. Both bounds always enclose every value the
+  /// column holds (Update widens them before its cell write; a refresh
+  /// narrows them only to what the pages hold), so a reader that pairs an
+  /// old bound with a new one still gets an enclosing range.
+  std::atomic<bool> zone_known_{false};
+  std::atomic<Value> zone_lo_{~Value{0}};
+  std::atomic<Value> zone_hi_{0};
   std::atomic<size_t> pending_count_{0};    // lock-free mirror of pending_
   AtomicStats metrics_;
   HealthCounters health_;

@@ -235,59 +235,16 @@ StatusOr<PartitionSpec> ReadTableDescriptor(const std::string& dir) {
 // ---------------------------------------------------------------------------
 // ShardedTable construction
 
-void ShardedTable::RecomputeZone(uint32_t s) {
-  Shard& shard = *shards_[s];
-  const PhysicalColumn& column = shard.column->column();
-  // Page-wise, zero tail included: the zone must cover every value a SCAN
-  // can see, and scans sweep whole pages.
-  const Value* base =
-      reinterpret_cast<const Value*>(column.base_arena().data());
-  const uint64_t n = column.num_pages() * kValuesPerPage;
-  if (n == 0) {
-    shard.zone_set.store(false, std::memory_order_release);
-    return;
-  }
-  Value lo = base[0], hi = base[0];
-  for (uint64_t i = 1; i < n; ++i) {
-    if (base[i] < lo) lo = base[i];
-    if (base[i] > hi) hi = base[i];
-  }
-  shard.zone_lo.store(lo, std::memory_order_relaxed);
-  shard.zone_hi.store(hi, std::memory_order_relaxed);
-  shard.zone_set.store(true, std::memory_order_release);
-}
-
-void ShardedTable::WidenZone(Shard& shard, Value v) {
-  // Racing widens are monotone in each direction, so relaxed CAS loops
-  // keep the zone a superset of every value ever written.
-  if (!shard.zone_set.load(std::memory_order_acquire)) {
-    shard.zone_lo.store(v, std::memory_order_relaxed);
-    shard.zone_hi.store(v, std::memory_order_relaxed);
-    shard.zone_set.store(true, std::memory_order_release);
-    return;
-  }
-  Value lo = shard.zone_lo.load(std::memory_order_relaxed);
-  while (v < lo &&
-         !shard.zone_lo.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
-  }
-  Value hi = shard.zone_hi.load(std::memory_order_relaxed);
-  while (v > hi &&
-         !shard.zone_hi.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
-  }
-}
-
-bool ShardedTable::ZoneIntersects(const Shard& shard, const RangeQuery& q) const {
-  if (!shard.zone_set.load(std::memory_order_acquire)) return false;
-  const Value lo = shard.zone_lo.load(std::memory_order_relaxed);
-  const Value hi = shard.zone_hi.load(std::memory_order_relaxed);
-  return q.lo <= hi && q.hi >= lo;
+void ShardedTable::AddShard(std::unique_ptr<AdaptiveColumn> column) {
+  column->BuildZoneMap();
+  shards_.push_back(std::move(column));
 }
 
 std::vector<uint32_t> ShardedTable::RouteShards(const RangeQuery& q) const {
   std::vector<uint32_t> targets;
   targets.reserve(shards_.size());
   for (uint32_t s = 0; s < shards_.size(); ++s) {
-    if (ZoneIntersects(*shards_[s], q)) targets.push_back(s);
+    if (shards_[s]->ZoneMayMatch(q)) targets.push_back(s);
   }
   return targets;
 }
@@ -313,10 +270,7 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Create(
     }
     auto adaptive = AdaptiveColumn::Create(*std::move(column), options.column);
     if (!adaptive.ok()) return adaptive.status();
-    auto shard = std::make_unique<Shard>();
-    shard->column = *std::move(adaptive);
-    table->shards_.push_back(std::move(shard));
-    table->RecomputeZone(s);
+    table->AddShard(*std::move(adaptive));
   }
   return std::unique_ptr<Table>(std::move(table));
 }
@@ -337,10 +291,7 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::CreateDurable(
                                                   spec.ShardRows(s),
                                                   options.column);
     if (!adaptive.ok()) return adaptive.status();
-    auto shard = std::make_unique<Shard>();
-    shard->column = *std::move(adaptive);
-    table->shards_.push_back(std::move(shard));
-    table->RecomputeZone(s);
+    table->AddShard(*std::move(adaptive));
   }
   // The descriptor is the creation commit point: written (atomically) only
   // after every shard directory exists, so a crash mid-create leaves a
@@ -363,10 +314,7 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Open(
       return IoError("shard " + std::to_string(s) + " of " + dir +
                      " has wrong row count for its descriptor");
     }
-    auto shard = std::make_unique<Shard>();
-    shard->column = *std::move(adaptive);
-    table->shards_.push_back(std::move(shard));
-    table->RecomputeZone(s);
+    table->AddShard(*std::move(adaptive));
   }
   return std::unique_ptr<Table>(std::move(table));
 }
@@ -381,7 +329,7 @@ StatusOr<QueryExecution> ShardedTable::Execute(const RangeQuery& q) {
   // oracle, and no matching shard means provably zero matches.
   QueryExecution merged;
   for (const uint32_t s : RouteShards(q)) {
-    auto part = shards_[s]->column->Execute(q);
+    auto part = shards_[s]->Execute(q);
     if (!part.ok()) return part.status();
     MergeExec(&merged, *part);
   }
@@ -395,7 +343,7 @@ StatusOr<QueryExecution> ShardedTable::ExecuteFullScan(
   // page, like the unsharded baseline it is compared against.
   QueryExecution merged;
   for (const auto& shard : shards_) {
-    auto part = shard->column->ExecuteFullScan(q);
+    auto part = shard->ExecuteFullScan(q);
     if (!part.ok()) return part.status();
     MergeExec(&merged, *part);
   }
@@ -421,13 +369,13 @@ StatusOr<BatchExecution> ShardedTable::ExecuteBatch(
     sub.clear();
     sub_index.clear();
     for (size_t i = 0; i < queries.size(); ++i) {
-      if (ZoneIntersects(*shard, queries[i])) {
+      if (shard->ZoneMayMatch(queries[i])) {
         sub.push_back(queries[i]);
         sub_index.push_back(i);
       }
     }
     if (sub.empty()) continue;
-    auto part = shard->column->ExecuteBatch(sub);
+    auto part = shard->ExecuteBatch(sub);
     if (!part.ok()) return part.status();
     for (size_t m = 0; m < sub_index.size(); ++m) {
       MergeExec(&out.queries[sub_index[m]], part->queries[m]);
@@ -447,18 +395,16 @@ Status ShardedTable::Update(uint64_t row, Value new_value) {
                            " beyond table (" + std::to_string(spec_.num_rows) +
                            " rows)");
   }
-  Shard& shard = *shards_[spec_.ShardOfRow(row)];
-  // Widen BEFORE the write: a racing query must already route to this
-  // shard by the time the new value can be visible. (A failed update
-  // leaves the zone conservatively wide — harmless.)
-  WidenZone(shard, new_value);
-  return shard.column->Update(spec_.LocalRow(row), new_value);
+  // The shard widens its column zone before the cell write, so a racing
+  // query routes to it by the time the new value can be visible.
+  return shards_[spec_.ShardOfRow(row)]->Update(spec_.LocalRow(row),
+                                                new_value);
 }
 
 StatusOr<UpdateApplyStats> ShardedTable::FlushUpdates() {
   UpdateApplyStats total;
   for (auto& shard : shards_) {
-    auto stats = shard->column->FlushUpdates();
+    auto stats = shard->FlushUpdates();
     if (!stats.ok()) return stats.status();
     total.parse_ms += stats->parse_ms;
     total.align_ms += stats->align_ms;
@@ -471,7 +417,7 @@ StatusOr<UpdateApplyStats> ShardedTable::FlushUpdates() {
 
 Status ShardedTable::Checkpoint() {
   for (auto& shard : shards_) {
-    Status st = shard->column->Checkpoint();
+    Status st = shard->Checkpoint();
     if (!st.ok()) return st;
   }
   return OkStatus();
@@ -481,7 +427,7 @@ TableHealth ShardedTable::Health() const {
   TableHealth health;
   health.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    const ColumnHealth h = shard->column->Health();
+    const ColumnHealth h = shard->Health();
     health.total.degraded_read_only |= h.degraded_read_only;
     health.total.mapping_pressure |= h.mapping_pressure;
     health.total.map_failures += h.map_failures;
@@ -503,7 +449,7 @@ TableHealth ShardedTable::Health() const {
 CumulativeStats ShardedTable::Metrics() const {
   CumulativeStats total;
   for (const auto& shard : shards_) {
-    const CumulativeStats m = shard->column->metrics();
+    const CumulativeStats m = shard->metrics();
     total.queries += m.queries;
     total.scanned_pages += m.scanned_pages;
     total.fullscan_equivalent_pages += m.fullscan_equivalent_pages;
@@ -519,7 +465,7 @@ CumulativeStats ShardedTable::Metrics() const {
 DurabilityStats ShardedTable::Durability() const {
   DurabilityStats total;
   for (const auto& shard : shards_) {
-    const DurabilityStats d = shard->column->durability_stats();
+    const DurabilityStats d = shard->durability_stats();
     total.journal_appends += d.journal_appends;
     total.journal_replayed += d.journal_replayed;
     total.journal_tail_truncated |= d.journal_tail_truncated;

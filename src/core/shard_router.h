@@ -15,11 +15,13 @@
 // uint64 adds — reproduces the oracle's page-wise scan exactly. Updates
 // route by row to exactly one shard (the one owning the row's page).
 //
-// QUERY FAN-OUT is pruned by per-shard VALUE ZONES: each shard keeps a
-// conservative [min, max] over every value in its pages, computed by one
-// pass at create/open and only ever WIDENED by updates. A query visits
-// just the shards whose zone intersects its predicate; skipped shards
-// provably contribute zero matches, so pruning never affects results.
+// QUERY FAN-OUT is pruned by each shard's COLUMN ZONE
+// (AdaptiveColumn::ZoneMayMatch): the union of the shard's per-page
+// [min, max] zones, built by one pass at create/open, widened by every
+// update before its cell write, and unknown (so the shard is visited)
+// after a load through mutable_column(). A query visits just the shards
+// whose zone may match it; skipped shards provably contribute zero
+// matches, so pruning never affects results.
 // The calling thread runs the visited shards' sub-scans itself, one after
 // another in shard order, merging each answer as it arrives: parallelism
 // within a query comes from each shard's scan ThreadPool, and parallelism
@@ -36,7 +38,6 @@
 #ifndef VMSV_CORE_SHARD_ROUTER_H_
 #define VMSV_CORE_SHARD_ROUTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -120,7 +121,7 @@ class ShardedTable : public Table {
     return static_cast<uint32_t>(shards_.size());
   }
   bool is_durable() const override { return durable_; }
-  AdaptiveColumn* shard(uint32_t i) override { return shards_[i]->column.get(); }
+  AdaptiveColumn* shard(uint32_t i) override { return shards_[i].get(); }
 
   const PartitionSpec& partition() const { return spec_; }
 
@@ -129,30 +130,15 @@ class ShardedTable : public Table {
   std::vector<uint32_t> RouteShards(const RangeQuery& q) const;
 
  private:
-  /// One shard's engine + value zone. Zone bounds are relaxed
-  /// atomics: updates widen them concurrently with routing reads, and a
-  /// conservatively-stale bound only costs an extra shard visit.
-  struct Shard {
-    std::unique_ptr<AdaptiveColumn> column;
-    std::atomic<Value> zone_lo{~Value{0}};
-    std::atomic<Value> zone_hi{0};
-    /// True once any value exists (a zoneless empty shard matches nothing).
-    std::atomic<bool> zone_set{false};
-  };
-
   ShardedTable(PartitionSpec spec, bool durable) : spec_(spec), durable_(durable) {}
 
-  /// One pass over shard `s`'s pages (zero tail included, matching what
-  /// scans see) re-deriving its value zone.
-  void RecomputeZone(uint32_t s);
-
-  void WidenZone(Shard& shard, Value v);
-
-  bool ZoneIntersects(const Shard& shard, const RangeQuery& q) const;
+  /// Adds a shard with its zone map built, so routing prunes from the
+  /// first query.
+  void AddShard(std::unique_ptr<AdaptiveColumn> column);
 
   PartitionSpec spec_;
   bool durable_ = false;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<AdaptiveColumn>> shards_;
 };
 
 }  // namespace vmsv

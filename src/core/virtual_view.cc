@@ -649,13 +649,17 @@ struct BuildState {
 
 }  // namespace
 
-StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
-                                             Value lo, Value hi,
-                                             const RangeQuery& query,
-                                             const ViewCreationOptions& options,
-                                             BackgroundMapper* mapper) {
+StatusOr<ViewBuildOutput> BuildViewAndAnswer(
+    const PhysicalColumn& column, Value lo, Value hi, const RangeQuery& query,
+    const ViewCreationOptions& options, BackgroundMapper* mapper,
+    std::vector<PageZone>* zones, const ParallelScanOptions& scan_options) {
   if (options.background_mapping && mapper == nullptr) {
     return InvalidArgument("background_mapping requires a BackgroundMapper");
+  }
+  const uint64_t num_pages = column.num_pages();
+  const bool prune = zones != nullptr && !zones->empty();
+  if (prune && zones->size() != num_pages) {
+    return InvalidArgument("zone map does not match the column");
   }
   auto view_r = VirtualView::CreateEmpty(column, lo, hi);
   if (!view_r.ok()) return view_r.status();
@@ -682,29 +686,42 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
   state.coalesce = options.coalesce_runs;
   const RangeQuery view_range{lo, hi};
   const bool ranges_equal = view_range == query;
-  const uint64_t num_pages = column.num_pages();
+  // The pages to read: every page, or (pruned) the ascending list of pages
+  // whose zone meets the view range.
+  std::vector<uint64_t> visit;
+  if (prune) {
+    for (uint64_t page = 0; page < num_pages; ++page) {
+      if ((*zones)[page].Intersects(view_range)) visit.push_back(page);
+    }
+  }
+  const uint64_t n = prune ? visit.size() : num_pages;
+  const bool build_zones = zones != nullptr && !prune;
+  std::vector<PageZone> built_zones(build_zones ? num_pages : 0);
+  // Reads one page: one vectorized filter pass answers the query; on the
+  // adaptive path the candidate range IS the query range, so the same pass
+  // also decides page membership and creation rides on the answering scan
+  // for free. A wider view range needs a qualification probe only when the
+  // query found nothing on the page. True when the page joins the view.
+  auto read_page = [&](uint64_t page, PageScanResult* result) {
+    const Value* data = column.PageData(page);
+    if (build_zones) built_zones[page] = ComputePageZone(data, kValuesPerPage);
+    const PageScanResult r = ScanPage(data, kValuesPerPage, query);
+    result->Merge(r);
+    return r.match_count > 0 ||
+           (!ranges_equal && PageContainsAny(data, kValuesPerPage, view_range));
+  };
   // The data pass (filter + membership probe) shards across the scan pool;
   // page membership and mmap work replay serially in page order afterwards,
   // so view page order — and with it run coalescing and every result — is
   // identical to the serial pass for any thread count.
-  const ParallelScanner scanner;
-  const unsigned shards = scanner.NumShards(num_pages);
+  const ParallelScanner scanner(scan_options);
+  const unsigned shards = scanner.NumShards(n);
   if (shards <= 1) {
     // Serial path: membership (and on the eager path, mapping) interleaves
     // with the scan, so mmap work overlaps scanning as §2.3 describes.
-    for (uint64_t page = 0; page < num_pages; ++page) {
-      const Value* data = column.PageData(page);
-      // One vectorized filter pass answers the query; on the adaptive path
-      // the candidate range IS the query range, so the same pass also
-      // decides page membership and creation rides on the answering scan for
-      // free. A wider view range needs a qualification probe only when the
-      // query found nothing on the page.
-      const PageScanResult r = ScanPage(data, kValuesPerPage, query);
-      out.query_result.Merge(r);
-      const bool qualifies =
-          r.match_count > 0 ||
-          (!ranges_equal && PageContainsAny(data, kValuesPerPage, view_range));
-      if (qualifies) state.AddPage(page);
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t page = prune ? visit[i] : i;
+      if (read_page(page, &out.query_result)) state.AddPage(page);
     }
   } else {
     struct ShardScan {
@@ -712,18 +729,11 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
       std::vector<uint64_t> qualifying;
     };
     std::vector<ShardScan> per_shard(shards);
-    scanner.ForShards(num_pages, [&](unsigned shard, uint64_t begin,
-                                     uint64_t end) {
+    scanner.ForShards(n, [&](unsigned shard, uint64_t begin, uint64_t end) {
       ShardScan& s = per_shard[shard];
-      for (uint64_t page = begin; page < end; ++page) {
-        const Value* data = column.PageData(page);
-        const PageScanResult r = ScanPage(data, kValuesPerPage, query);
-        s.result.Merge(r);
-        const bool qualifies =
-            r.match_count > 0 ||
-            (!ranges_equal &&
-             PageContainsAny(data, kValuesPerPage, view_range));
-        if (qualifies) s.qualifying.push_back(page);
+      for (uint64_t i = begin; i < end; ++i) {
+        const uint64_t page = prune ? visit[i] : i;
+        if (read_page(page, &s.result)) s.qualifying.push_back(page);
       }
     });
     for (const ShardScan& s : per_shard) {
@@ -738,7 +748,8 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
     VMSV_RETURN_IF_ERROR(effective_mapper->Drain());
   }
   if (!state.status.ok()) return state.status;
-  out.scanned_pages = num_pages;
+  if (build_zones) *zones = std::move(built_zones);
+  out.scanned_pages = n;
   return out;
 }
 

@@ -122,8 +122,10 @@ struct ViewUsageStats {
   std::atomic<uint64_t> last_used_query{0};
   /// Number of queries answered (fully or as a cover member) from the view.
   std::atomic<uint64_t> hits{0};
-  /// Pages the creating scan read to build the view — the cost to recreate
-  /// it if evicted too eagerly.
+  /// The full-scan equivalent of building the view (the column's page
+  /// count), even when the zone map let the creating scan read fewer pages:
+  /// the cost to recreate it if evicted too eagerly, independent of whether
+  /// a zone map exists at that time.
   std::atomic<uint64_t> creation_scanned_pages{0};
 };
 
@@ -532,16 +534,27 @@ StatusOr<std::unique_ptr<VirtualView>> BuildViewByScan(
 /// Same scan, but additionally returns the filtered result of `query` from
 /// the single pass (used by the adaptive layer: answer + candidate in one
 /// scan). `query` must be covered by [lo, hi].
+///
+/// `zones` is the column's per-page [min, max] zone map:
+///   - null: the scan reads every page;
+///   - empty: the scan reads every page and, on success, fills one zone per
+///     page (the map rides on the scan that was reading the pages anyway);
+///   - one zone per page: the scan reads only the pages whose zone meets
+///     [lo, hi], in ascending page order. A page outside holds no value in
+///     [lo, hi], so the view's pages, their order and the answer are the
+///     full scan's.
+/// scanned_pages counts the pages read. `scan_options` picks the scan's
+/// thread count and serial cutoff; the result is identical for any setting.
 struct ViewBuildOutput {
   std::unique_ptr<VirtualView> view;
   PageScanResult query_result;
   uint64_t scanned_pages = 0;
 };
-StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
-                                             Value lo, Value hi,
-                                             const RangeQuery& query,
-                                             const ViewCreationOptions& options,
-                                             BackgroundMapper* mapper);
+StatusOr<ViewBuildOutput> BuildViewAndAnswer(
+    const PhysicalColumn& column, Value lo, Value hi, const RangeQuery& query,
+    const ViewCreationOptions& options, BackgroundMapper* mapper,
+    std::vector<PageZone>* zones = nullptr,
+    const ParallelScanOptions& scan_options = {});
 
 }  // namespace vmsv
 

@@ -1,11 +1,14 @@
 #include "vmsv.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "scoped_temp_dir.h"
 #include "util/random.h"
 #include "workload/distribution.h"
 #include "workload/query_generator.h"
@@ -341,13 +344,10 @@ constexpr Value kFar = 1'000'000;
 
 RangeQuery Band(Value lo) { return RangeQuery{lo, lo + kBandWidth - 1}; }
 
-// kTestPages pages; page p holds values from the bands in page_bands[p],
-// round-robin over its rows, and far values when it has no band.
-std::unique_ptr<PhysicalColumn> MakeBandedColumn(
-    const std::vector<std::vector<Value>>& page_bands) {
-  auto column_r = PhysicalColumn::Create(kTestPages * kValuesPerPage);
-  EXPECT_TRUE(column_r.ok()) << column_r.status().ToString();
-  auto column = std::move(column_r).ValueOrDie();
+// Page p holds values from the bands in page_bands[p], round-robin over its
+// rows, and far values when it has no band.
+void FillBanded(PhysicalColumn* column,
+                const std::vector<std::vector<Value>>& page_bands) {
   for (uint64_t row = 0; row < column->num_rows(); ++row) {
     const uint64_t page = PhysicalColumn::PageOfRow(row);
     const std::vector<Value> bands =
@@ -356,6 +356,15 @@ std::unique_ptr<PhysicalColumn> MakeBandedColumn(
                          ? kFar + row
                          : bands[row % bands.size()] + (row * 7) % kBandWidth);
   }
+}
+
+// kTestPages pages filled by FillBanded.
+std::unique_ptr<PhysicalColumn> MakeBandedColumn(
+    const std::vector<std::vector<Value>>& page_bands) {
+  auto column_r = PhysicalColumn::Create(kTestPages * kValuesPerPage);
+  EXPECT_TRUE(column_r.ok()) << column_r.status().ToString();
+  auto column = std::move(column_r).ValueOrDie();
+  FillBanded(column.get(), page_bands);
   return column;
 }
 
@@ -535,7 +544,10 @@ TEST_P(CoverAnswerTest, EvictedViewNoLongerAnswersItsExtraRange) {
   auto after = table->Execute(Band(kBandC));
   ASSERT_TRUE(after.ok());
   EXPECT_NE(after->stats.decision, CandidateDecision::kAnsweredFromView);
-  EXPECT_EQ(after->stats.scanned_pages, kTestPages);
+  // The miss is zone-pruned: only pages 0..3 hold band C values, so only
+  // their zones meet the query.
+  EXPECT_EQ(after->stats.scanned_pages, 4u);
+  EXPECT_LT(after->stats.scanned_pages, kTestPages);
   ExpectMatchesOracle(table.get(), Band(kBandC), *after);
 }
 
@@ -580,6 +592,288 @@ TEST(VirtualViewRangesTest, AddCoveredRangeMergesExtendsAndCaps) {
   view.ClearExtraRanges();
   EXPECT_FALSE(view.Covers(RangeQuery{1000, 1049}));
   EXPECT_TRUE(view.Covers(RangeQuery{100, 599}));
+}
+
+
+// ---------------------------------------------------------------------------
+// Zone-pruned creation scans: with a zone map, BuildViewAndAnswer reads only
+// the pages whose [min, max] meets the range, and must build exactly the
+// view and the answer the full scan builds.
+
+/// Rows of a column whose last page is partial, so it ends in a zero fill.
+constexpr uint64_t kTailRows = kTestPages * kValuesPerPage - 37;
+
+std::unique_ptr<PhysicalColumn> MakeTailColumn(DataDistribution kind) {
+  DistributionSpec spec;
+  spec.kind = kind;
+  spec.max_value = kMaxValue;
+  spec.seed = 42;
+  auto column_r = MakeColumn(spec, kTailRows);
+  EXPECT_TRUE(column_r.ok()) << column_r.status().ToString();
+  return std::move(column_r).ValueOrDie();
+}
+
+/// Empty, single-value and whole-domain ranges, plus ranges at the edges of
+/// the tail page: its zero fill (when partial) and its smallest and largest
+/// stored values.
+std::vector<RangeQuery> ZoneCheckRanges(const PhysicalColumn& column) {
+  const uint64_t tail_first_row =
+      (column.num_pages() - 1) * kValuesPerPage;
+  Value tail_min = ~Value{0};
+  Value tail_max = 0;
+  for (uint64_t row = tail_first_row; row < column.num_rows(); ++row) {
+    tail_min = std::min(tail_min, column.Get(row));
+    tail_max = std::max(tail_max, column.Get(row));
+  }
+  const Value single = column.Get(column.num_rows() / 3);
+  return {
+      RangeQuery{kMaxValue + 1, kMaxValue + 1000},  // above every value
+      RangeQuery{single, single},
+      RangeQuery{0, ~Value{0}},
+      RangeQuery{0, 0},
+      RangeQuery{tail_min, tail_min},
+      RangeQuery{tail_max, tail_max},
+      RangeQuery{tail_max, ~Value{0}},
+  };
+}
+
+TEST(ZonePrunedBuildTest, PrunedAndFullCreationScansAgree) {
+  struct Case {
+    const char* name;
+    std::unique_ptr<PhysicalColumn> column;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"sine", MakeTailColumn(DataDistribution::kSine)});
+  cases.push_back({"uniform", MakeTailColumn(DataDistribution::kUniform)});
+  cases.push_back({"banded", MakeBandedColumn(GappedBands())});
+  // Eager mapping with run coalescing, so the mapped runs are compared too.
+  const ViewCreationOptions eager{/*coalesce_runs=*/true,
+                                  /*background_mapping=*/false,
+                                  /*lazy_materialize=*/false};
+  // One thread, and four threads with the page count above the cutoff.
+  const std::vector<ParallelScanOptions> scanners = {
+      ParallelScanOptions{1, ~uint64_t{0}}, ParallelScanOptions{4, 8}};
+
+  for (const Case& c : cases) {
+    const PhysicalColumn& column = *c.column;
+    const uint64_t pages = column.num_pages();
+    // The first call builds the zone map inside its full scan.
+    std::vector<PageZone> zones;
+    auto building = BuildViewAndAnswer(column, 0, 0, RangeQuery{0, 0}, eager,
+                                       nullptr, &zones);
+    ASSERT_TRUE(building.ok()) << c.name;
+    EXPECT_EQ(building->scanned_pages, pages) << c.name;
+    ASSERT_EQ(zones.size(), pages) << c.name;
+    for (uint64_t page = 0; page < pages; ++page) {
+      const PageZone want =
+          ComputePageZoneScalar(column.PageData(page), kValuesPerPage);
+      ASSERT_EQ(zones[page].min, want.min) << c.name << " page " << page;
+      ASSERT_EQ(zones[page].max, want.max) << c.name << " page " << page;
+    }
+
+    for (const ParallelScanOptions& scan : scanners) {
+      for (const RangeQuery& q : ZoneCheckRanges(column)) {
+        // The adaptive path's shape (view range == query) and a view range
+        // wider than the query.
+        for (const RangeQuery& range : {q, RangeQuery{q.lo / 2, q.hi}}) {
+          const std::string what = std::string(c.name) + " threads=" +
+                                   std::to_string(scan.threads) + " [" +
+                                   std::to_string(range.lo) + "," +
+                                   std::to_string(range.hi) + "]";
+          auto full = BuildViewAndAnswer(column, range.lo, range.hi, q, eager,
+                                         nullptr, nullptr, scan);
+          auto pruned = BuildViewAndAnswer(column, range.lo, range.hi, q,
+                                           eager, nullptr, &zones, scan);
+          ASSERT_TRUE(full.ok() && pruned.ok()) << what;
+          EXPECT_EQ(pruned->view->physical_pages(),
+                    full->view->physical_pages())
+              << what;
+          EXPECT_EQ(pruned->view->CountFileRuns(), full->view->CountFileRuns())
+              << what;
+          EXPECT_EQ(pruned->view->num_slot_runs(), full->view->num_slot_runs())
+              << what;
+          EXPECT_EQ(pruned->query_result.match_count,
+                    full->query_result.match_count)
+              << what;
+          EXPECT_EQ(pruned->query_result.sum, full->query_result.sum) << what;
+          const PageScanResult oracle = ScanPageScalar(
+              column.PageData(0), pages * kValuesPerPage, q);
+          EXPECT_EQ(full->query_result.match_count, oracle.match_count) << what;
+          EXPECT_EQ(full->query_result.sum, oracle.sum) << what;
+          EXPECT_EQ(full->scanned_pages, pages) << what;
+          uint64_t meeting = 0;
+          for (const PageZone& zone : zones) meeting += zone.Intersects(range);
+          EXPECT_EQ(pruned->scanned_pages, meeting) << what;
+        }
+      }
+    }
+  }
+
+  // Pruning really skips pages at this size: band C lives on pages 0..3 of
+  // the banded column, and no sine page holds every value.
+  const PhysicalColumn& banded = *cases[2].column;
+  std::vector<PageZone> banded_zones;
+  ASSERT_TRUE(BuildViewAndAnswer(banded, 0, 0, RangeQuery{0, 0}, eager,
+                                 nullptr, &banded_zones)
+                  .ok());
+  auto band_c = BuildViewAndAnswer(banded, kBandC, kBandC + kBandWidth - 1,
+                                   Band(kBandC), eager, nullptr,
+                                   &banded_zones);
+  ASSERT_TRUE(band_c.ok());
+  EXPECT_EQ(band_c->scanned_pages, 4u);
+  const PhysicalColumn& sine = *cases[0].column;
+  std::vector<PageZone> sine_zones;
+  ASSERT_TRUE(BuildViewAndAnswer(sine, 0, 0, RangeQuery{0, 0}, eager, nullptr,
+                                 &sine_zones)
+                  .ok());
+  const Value v = sine.Get(sine.num_rows() / 3);
+  auto single = BuildViewAndAnswer(sine, v, v, RangeQuery{v, v}, eager,
+                                   nullptr, &sine_zones);
+  ASSERT_TRUE(single.ok());
+  EXPECT_LT(single->scanned_pages, sine.num_pages());
+}
+
+TEST(ZonePrunedBuildTest, RejectsAZoneMapOfAnotherSize) {
+  auto column = MakeBandedColumn(GappedBands());
+  std::vector<PageZone> zones(column->num_pages() - 1);
+  EXPECT_EQ(BuildViewAndAnswer(*column, 0, 10, RangeQuery{0, 10}, {}, nullptr,
+                               &zones)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Zone-map upkeep through the engine: Update widens, a flush re-tightens,
+// Open and a load through mutable_column() drop the map, and the next miss
+// rebuilds it.
+
+/// Between band C and the far values: on the banded column no page's zone
+/// meets it. Each k gives a range that no earlier one covers, so every
+/// GapQuery runs the miss path.
+RangeQuery GapQuery(Value k) { return RangeQuery{5'000, 6'000 + k}; }
+
+constexpr uint64_t kPage10Row = 10 * kValuesPerPage + 3;
+constexpr uint64_t kPage20Row = 20 * kValuesPerPage + 5;
+
+TEST(ZoneMapTest, UpdatesMoveValuesAcrossZonesAndFlushRetightens) {
+  auto table = MakeTable(MakeBandedColumn(GappedBands()), AdaptiveConfig{});
+  AdaptiveColumn* column = table->shard(0);
+  EXPECT_TRUE(column->ZoneMayMatch(GapQuery(0)));  // unknown before a miss
+
+  // The first miss reads every page and builds the zone map.
+  auto a = table->Execute(Band(kBandA));
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a->stats.scanned_pages, kTestPages);
+  EXPECT_FALSE(column->ZoneMayMatch(RangeQuery{50 * kFar, 60 * kFar}));
+
+  // A pruned miss that inserts a view: no page meets the gap, so it reads
+  // none, yet the view's creation cost stays the full-scan equivalent.
+  auto gap = table->Execute(GapQuery(0));
+  ASSERT_TRUE(gap.ok());
+  EXPECT_EQ(gap->stats.decision, CandidateDecision::kInserted);
+  EXPECT_EQ(gap->stats.scanned_pages, 0u);
+  EXPECT_EQ(gap->match_count, 0u);
+  bool found = false;
+  for (const auto& view : column->view_index().views()) {
+    if (!(view->value_range() == GapQuery(0))) continue;
+    found = true;
+    EXPECT_EQ(view->usage().creation_scanned_pages.load(), kTestPages);
+  }
+  EXPECT_TRUE(found);
+
+  // Move a value onto page 10, whose zone excluded the gap. Queried while
+  // the update is pending: the miss flushes first and reads page 10 only.
+  ASSERT_TRUE(table->Update(kPage10Row, 5'500).ok());
+  auto pending = table->Execute(GapQuery(1));
+  ASSERT_TRUE(pending.ok());
+  EXPECT_NE(pending->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(pending->stats.scanned_pages, 1u);
+  EXPECT_EQ(pending->match_count, 1u);
+  ExpectMatchesOracle(table.get(), GapQuery(1), *pending);
+
+  // And after an explicit flush: pages 10 and 20 now meet the gap.
+  ASSERT_TRUE(table->Update(kPage20Row, 5'600).ok());
+  ASSERT_TRUE(table->FlushUpdates().ok());
+  auto flushed = table->Execute(GapQuery(2));
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_NE(flushed->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(flushed->stats.scanned_pages, 2u);
+  EXPECT_EQ(flushed->match_count, 2u);
+  ExpectMatchesOracle(table.get(), GapQuery(2), *flushed);
+
+  // Moving the values away again re-tightens both zones at the flush: the
+  // same miss falls back to reading no page.
+  ASSERT_TRUE(table->Update(kPage10Row, kFar + kPage10Row).ok());
+  ASSERT_TRUE(table->Update(kPage20Row, kFar + kPage20Row).ok());
+  ASSERT_TRUE(table->FlushUpdates().ok());
+  auto away = table->Execute(GapQuery(3));
+  ASSERT_TRUE(away.ok());
+  EXPECT_NE(away->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(away->stats.scanned_pages, 0u);
+  EXPECT_EQ(away->match_count, 0u);
+  ExpectMatchesOracle(table.get(), GapQuery(3), *away);
+}
+
+TEST(ZoneMapTest, LoadThroughMutableColumnDropsTheZoneMap) {
+  auto table = MakeTable(MakeBandedColumn(GappedBands()), AdaptiveConfig{});
+  AdaptiveColumn* column = table->shard(0);
+  ASSERT_TRUE(table->Execute(Band(kBandA)).ok());  // builds the zone map
+  auto c = table->Execute(Band(kBandC));
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c->stats.scanned_pages, 4u);  // pruned
+  const RangeQuery beyond{50 * kFar, 60 * kFar};
+  ASSERT_FALSE(column->ZoneMayMatch(beyond));
+
+  // A load writes cells without Update, so no zone is widened: the map is
+  // dropped instead, the column zone reads unknown, and the next miss reads
+  // every page again.
+  column->mutable_column()->Set(kPage10Row, 5'500);
+  EXPECT_TRUE(column->ZoneMayMatch(beyond));
+  auto rebuilt = table->Execute(GapQuery(0));
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rebuilt->stats.scanned_pages, kTestPages);
+  EXPECT_EQ(rebuilt->match_count, 1u);
+  ExpectMatchesOracle(table.get(), GapQuery(0), *rebuilt);
+  EXPECT_FALSE(column->ZoneMayMatch(beyond));
+
+  auto pruned = table->Execute(GapQuery(1));
+  ASSERT_TRUE(pruned.ok());
+  EXPECT_NE(pruned->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(pruned->stats.scanned_pages, 1u);
+  ExpectMatchesOracle(table.get(), GapQuery(1), *pruned);
+}
+
+TEST(ZoneMapTest, OpenWithJournalReplayThenMiss) {
+  ScopedTempDir scratch("zone_map_open");
+  {
+    auto table_r =
+        Db::CreateDurable(scratch.path(), kTestPages * kValuesPerPage, {});
+    ASSERT_TRUE(table_r.ok()) << table_r.status().ToString();
+    auto table = std::move(table_r).ValueOrDie();
+    FillBanded(table->shard(0)->mutable_column(), GappedBands());
+    ASSERT_TRUE(table->Checkpoint().ok());
+    ASSERT_TRUE(table->Execute(Band(kBandA)).ok());  // builds the zone map
+    // Journaled, never flushed: only the journal knows this value.
+    ASSERT_TRUE(table->Update(kPage10Row, 5'500).ok());
+  }  // exits without a checkpoint, like a crash
+
+  auto reopened_r = Db::Open(scratch.path(), {});
+  ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
+  auto reopened = std::move(reopened_r).ValueOrDie();
+  EXPECT_EQ(reopened->Durability().journal_replayed, 1u);
+  // Open builds no zone map; the first miss reads every page and builds it
+  // over the replayed value.
+  auto first = reopened->Execute(GapQuery(0));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->stats.scanned_pages, kTestPages);
+  EXPECT_EQ(first->match_count, 1u);
+  ExpectMatchesOracle(reopened.get(), GapQuery(0), *first);
+  auto second = reopened->Execute(GapQuery(1));
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(second->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(second->stats.scanned_pages, 1u);
+  ExpectMatchesOracle(reopened.get(), GapQuery(1), *second);
 }
 
 }  // namespace

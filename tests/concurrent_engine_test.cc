@@ -560,6 +560,112 @@ TEST(ConcurrentEngineTest, MultiViewReadersRaceExtraRangeAdaptationAndWriter) {
   EXPECT_EQ(table->shard(0)->epoch_manager().limbo_size(), 0u);
 }
 
+TEST(ConcurrentEngineTest, PrunedMissesRaceWriterMovingValuesAcrossZones) {
+  // Page p holds only values of band p, so every page zone is disjoint from
+  // the others and a band query's miss reads one page. A 2-view pool keeps
+  // the readers missing. The writer moves values from band to band across
+  // pages (every move lands on a page whose zone excluded the value) and
+  // later moves half of them back; flushes re-tighten the zones under the
+  // readers' feet. Every answer must match some prefix of the script.
+  constexpr uint64_t kBands = 16;
+  constexpr Value kBand = 10'000;
+  auto column_r = PhysicalColumn::Create(kTestPages * kValuesPerPage);
+  ASSERT_TRUE(column_r.ok());
+  auto column = std::move(column_r).ValueOrDie();
+  for (uint64_t row = 0; row < column->num_rows(); ++row) {
+    column->Set(row,
+                PhysicalColumn::PageOfRow(row) * kBand + (row * 7) % kBand);
+  }
+
+  std::vector<RangeQuery> queries;
+  for (uint64_t b = 0; b < kBands; ++b) {
+    queries.push_back(RangeQuery{b * kBand, b * kBand + kBand - 1});
+    queries.push_back(RangeQuery{b * kBand + 2'000, b * kBand + 4'999});
+  }
+  std::vector<ScriptedUpdate> script;
+  auto row_of = [](uint64_t i) {
+    return ((i * 5 + 3) % kTestPages) * kValuesPerPage +
+           (i * 37) % kValuesPerPage;
+  };
+  for (uint64_t i = 0; i < 48; ++i) {
+    const uint64_t band = (i * 7 + 1) % kBands;  // never the row's own page
+    script.push_back(ScriptedUpdate{row_of(i), band * kBand + 2'500 + i});
+  }
+  for (uint64_t i = 0; i < 48; i += 2) {
+    const uint64_t row = row_of(i);
+    script.push_back(ScriptedUpdate{
+        row, PhysicalColumn::PageOfRow(row) * kBand + (row * 7) % kBand});
+  }
+  const PrefixOracle oracle = BuildPrefixOracle(*column, queries, script);
+
+  AdaptiveConfig config;
+  config.mode = QueryMode::kMultiView;
+  config.cost_based_routing = true;
+  config.max_views = 2;
+  auto table_r = Db::Create(std::move(column), DbOptions{config});
+  ASSERT_TRUE(table_r.ok());
+  auto& table = *table_r;
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> pruned_misses{0};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<int> readers_running{kReaders};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      struct Exit {
+        std::atomic<int>* running;
+        ~Exit() { --*running; }
+      } exit{&readers_running};
+      for (int i = 0;; ++i, ++reads) {
+        const bool finish = writer_done.load();
+        const size_t qi = (t * 11 + i * 3) % queries.size();
+        auto exec = table->Execute(queries[qi]);
+        if (!exec.ok() ||
+            oracle.valid[qi].count({exec->match_count, exec->sum}) == 0) {
+          ++failures;
+          return;
+        }
+        if (exec->stats.decision != CandidateDecision::kAnsweredFromView &&
+            exec->stats.scanned_pages < kTestPages) {
+          ++pruned_misses;
+        }
+        if (finish && i > 2 * static_cast<int>(queries.size())) return;
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (size_t u = 0; u < script.size(); ++u) {
+      const uint64_t target = reads.load() + 3;
+      while (reads.load() < target && readers_running.load() > 0) {
+        std::this_thread::yield();
+      }
+      if (!table->Update(script[u].row, script[u].value).ok()) ++failures;
+      if (u % 5 == 4 && !table->FlushUpdates().ok()) ++failures;
+    }
+    writer_done.store(true);
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(pruned_misses.load(), 0u);
+
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    auto exec = table->Execute(queries[qi]);
+    ASSERT_TRUE(exec.ok());
+    EXPECT_EQ(exec->match_count, oracle.final[qi].first) << "query " << qi;
+    EXPECT_EQ(exec->sum, oracle.final[qi].second);
+    auto baseline = table->ExecuteFullScan(queries[qi]);
+    ASSERT_TRUE(baseline.ok());
+    EXPECT_EQ(exec->match_count, baseline->match_count);
+    EXPECT_EQ(exec->sum, baseline->sum);
+  }
+  table->shard(0)->epoch_manager().TryReclaim();
+  EXPECT_EQ(table->shard(0)->epoch_manager().limbo_size(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Batch vs individual execution
 

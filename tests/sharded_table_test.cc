@@ -516,6 +516,48 @@ TEST(ShardedTableDurable, UnshardedLayoutStaysPlain) {
   EXPECT_EQ(reopened->shard(0)->column().Get(3), 99u);
 }
 
+TEST(ShardedTableDurable, LoadThroughMutableColumnIsRouted) {
+  // A durable table starts zeroed. A load through each shard's
+  // mutable_column() runs no Update, so it widens no zone: it must leave
+  // every shard's zone unknown, not stuck at the zero column's [0, 0] —
+  // routing would then skip every shard and answer 0 matches.
+  ScopedTempDir scratch("sharded_load");
+  const uint64_t rows = 8 * kValuesPerPage;
+  auto table_r = Db::CreateDurable(scratch.path(), rows,
+                                   ShardedOptions(2, PartitionKind::kRange));
+  ASSERT_TRUE(table_r.ok()) << table_r.status().message();
+  auto table = *std::move(table_r);
+  auto* sharded = dynamic_cast<ShardedTable*>(table.get());
+  ASSERT_NE(sharded, nullptr);
+  const PartitionSpec& spec = sharded->partition();
+  for (uint32_t s = 0; s < table->num_shards(); ++s) {
+    PhysicalColumn* column = table->shard(s)->mutable_column();
+    for (uint64_t lp = 0; lp < spec.ShardPages(s); ++lp) {
+      for (uint64_t off = 0; off < kValuesPerPage; ++off) {
+        const uint64_t global_row =
+            spec.GlobalPage(s, lp) * kValuesPerPage + off;
+        column->Set(lp * kValuesPerPage + off, 1000 + global_row);
+      }
+    }
+  }
+
+  const RangeQuery q{1000, 101000};
+  EXPECT_EQ(sharded->RouteShards(q), (std::vector<uint32_t>{0, 1}));
+  auto want = table->ExecuteFullScan(q);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(want->match_count, rows);
+  auto got = table->Execute(q);
+  ASSERT_TRUE(got.ok());
+  ExpectSameAnswer(*got, *want, "loaded table");
+
+  // Those misses rebuilt both shards' zone maps: routing prunes again.
+  // Shard 0 holds [1000, 1000 + rows/2), shard 1 the rest.
+  EXPECT_TRUE(sharded->RouteShards({0, 999}).empty());
+  EXPECT_EQ(sharded->RouteShards({1000, 1000}), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(sharded->RouteShards({1000 + rows - 1, 1000 + rows - 1}),
+            (std::vector<uint32_t>{1}));
+}
+
 TEST(ShardedTableDurable, OpenMissingDirIsNotFound) {
   ScopedTempDir scratch("sharded_open_missing");
   EXPECT_EQ(Db::Open(scratch.path() + "/nope", {}).status().code(),
